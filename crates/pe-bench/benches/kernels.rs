@@ -9,11 +9,8 @@ use pe_data::{train_test_split, Normalizer, UciProfile};
 use pe_ml::linear::SvmTrainParams;
 use pe_ml::multiclass::{MulticlassScheme, SvmModel};
 use pe_ml::QuantizedSvm;
-use pe_sim::collapse::fault_campaign_seq_ppsfp_collapsed;
-use pe_sim::faults::{
-    enumerate_fault_sites, fault_campaign_seq_ppsfp_wide, fault_campaign_seq_ppsfp_wide_opts,
-};
-use pe_sim::{BatchMode, ConeMode, LaneWidth, Simulator};
+use pe_sim::faults::enumerate_fault_sites;
+use pe_sim::{BatchMode, Campaign, ConeMode, LaneWidth, Simulator};
 use std::time::Instant;
 
 struct Fixture {
@@ -200,10 +197,8 @@ fn bench_width_sweep(g: &mut BenchGroup, f: &Fixture) {
         .map(|width| {
             let sweeps = sites.len().div_ceil(width.lanes());
             let secs = median_secs(3, || {
-                black_box(
-                    fault_campaign_seq_ppsfp_wide(&nl, &sites, &workload, "class", 3, width)
-                        .unwrap(),
-                );
+                let campaign = Campaign { width: Some(width), ..Campaign::default() };
+                black_box(campaign.run(&nl, &sites, &workload, "class", 3).unwrap());
             });
             (width.words(), sweeps, secs)
         })
@@ -222,55 +217,17 @@ fn bench_width_sweep(g: &mut BenchGroup, f: &Fixture) {
     // counted both ways. Sites enumerate in netlist (≈ topological) order,
     // so the output-side chunks are the ones with small cones.
     let cone_width = LaneWidth::W8;
-    let (auto_report, auto_stats) = fault_campaign_seq_ppsfp_wide_opts(
-        &nl,
-        &sites,
-        &workload,
-        "class",
-        3,
-        cone_width,
-        ConeMode::Auto,
-    )
-    .unwrap();
-    let (never_report, never_stats) = fault_campaign_seq_ppsfp_wide_opts(
-        &nl,
-        &sites,
-        &workload,
-        "class",
-        3,
-        cone_width,
-        ConeMode::Never,
-    )
-    .unwrap();
+    let auto = Campaign { width: Some(cone_width), cone: ConeMode::Auto, profile: None };
+    let never = Campaign { width: Some(cone_width), cone: ConeMode::Never, profile: None };
+    let (auto_report, auto_stats) = auto.run(&nl, &sites, &workload, "class", 3).unwrap();
+    let (never_report, never_stats) = never.run(&nl, &sites, &workload, "class", 3).unwrap();
     assert_eq!(auto_report, never_report, "cone-scheduled verdicts must be bit-identical");
     let avoided_pct = 100.0 * (1.0 - auto_stats.cell_evals as f64 / never_stats.cell_evals as f64);
     let auto_secs = median_secs(3, || {
-        black_box(
-            fault_campaign_seq_ppsfp_wide_opts(
-                &nl,
-                &sites,
-                &workload,
-                "class",
-                3,
-                cone_width,
-                ConeMode::Auto,
-            )
-            .unwrap(),
-        );
+        black_box(auto.run(&nl, &sites, &workload, "class", 3).unwrap());
     });
     let never_secs = median_secs(3, || {
-        black_box(
-            fault_campaign_seq_ppsfp_wide_opts(
-                &nl,
-                &sites,
-                &workload,
-                "class",
-                3,
-                cone_width,
-                ConeMode::Never,
-            )
-            .unwrap(),
-        );
+        black_box(never.run(&nl, &sites, &workload, "class", 3).unwrap());
     });
     println!(
         "faults/cone_scheduling                       {}/{} chunks through cones at W=8, {:.1}% cell evals avoided ({:.2}x faster)",
@@ -278,42 +235,6 @@ fn bench_width_sweep(g: &mut BenchGroup, f: &Fixture) {
         auto_stats.chunks,
         avoided_pct,
         never_secs / auto_secs
-    );
-
-    // Static + workload fault collapsing on the same full campaign: the
-    // collapsed path retires equivalence-class duplicates, unobservable
-    // cones, and workload-quiescent sites before pinning any lane, then
-    // expands the representatives' verdicts back over all sites. The gate:
-    // the report must be bit-identical and at least 20 % of the sites must
-    // collapse away. (The analysis is a fixed per-campaign cost, so the
-    // wall-clock payoff appears on scalar/narrow engines and long
-    // workloads; at W=8 the full sweep is already only a few sweeps, and
-    // the honest speedup below can dip under 1x.)
-    let t_collapse = Instant::now();
-    let (collapsed_report, cstats) =
-        fault_campaign_seq_ppsfp_collapsed(&nl, &sites, &workload, "class", 3, cone_width).unwrap();
-    let collapsed_secs = t_collapse.elapsed().as_secs_f64();
-    assert_eq!(
-        collapsed_report, auto_report,
-        "collapsed campaign must be bit-identical to the full campaign"
-    );
-    assert!(
-        cstats.reduction() >= 0.20,
-        "fault collapsing must retire >= 20 % of the {} sites (got {:.1} %)",
-        cstats.sites,
-        100.0 * cstats.reduction()
-    );
-    let collapsed_sweeps = cstats.simulated.div_ceil(cone_width.lanes());
-    println!(
-        "faults/collapse                              {} sites -> {} simulated ({:.1}% collapsed: {} merged into classes, {} statically-benign classes, {} workload-quiet), {} sweeps -> {}, bit-identical",
-        cstats.sites,
-        cstats.simulated,
-        100.0 * cstats.reduction(),
-        cstats.sites - cstats.classes,
-        cstats.static_benign,
-        cstats.workload_benign,
-        sites.len().div_ceil(cone_width.lanes()),
-        collapsed_sweeps,
     );
 
     // Machine-readable record for the acceptance gates and the README.
@@ -343,12 +264,7 @@ fn bench_width_sweep(g: &mut BenchGroup, f: &Fixture) {
          \"cone_chunks\": {},\n    \"fallback_chunks\": {},\n    \
          \"cell_evals_auto\": {},\n    \"cell_evals_full\": {},\n    \
          \"cell_evals_avoided_pct\": {:.1},\n    \"auto_secs\": {:.6},\n    \
-         \"full_secs\": {:.6}\n  }},\n  \
-         \"collapse\": {{\n    \"sites\": {},\n    \"classes\": {},\n    \
-         \"static_benign_classes\": {},\n    \"workload_quiet\": {},\n    \
-         \"simulated\": {},\n    \"reduction\": {:.4},\n    \
-         \"collapsed_secs\": {:.6},\n    \"full_secs\": {:.6},\n    \
-         \"speedup\": {:.3}\n  }}\n}}\n",
+         \"full_secs\": {:.6}\n  }}\n}}\n",
         scalar_secs,
         samples.len() as f64 / scalar_secs,
         width_json.join(",\n    "),
@@ -366,15 +282,6 @@ fn bench_width_sweep(g: &mut BenchGroup, f: &Fixture) {
         avoided_pct,
         auto_secs,
         never_secs,
-        cstats.sites,
-        cstats.classes,
-        cstats.static_benign,
-        cstats.workload_benign,
-        cstats.simulated,
-        cstats.reduction(),
-        collapsed_secs,
-        auto_secs,
-        auto_secs / collapsed_secs.max(1e-9),
     );
     // Anchor to the workspace root: cargo runs bench binaries with the
     // package directory as cwd.

@@ -6,48 +6,40 @@
 //! sequential SVM, whose clocked campaign judges faults per classification
 //! under the per-classification reset protocol.
 //!
-//! Campaigns run PPSFP-style (`pe_sim::faults`): up to `64 * W` fault sites
-//! per bit-sliced slab (the lane width `W` auto-picked per shard, or forced
-//! with `--width`), one faulty machine per lane, every workload pattern
-//! driven broadcast — and the site list is additionally sharded across
-//! `parallel_map` workers in slab-aligned chunks, so the campaign
-//! parallelizes across threads *and* lanes. Each worker schedules one
-//! simulator and reuses it for its whole shard via per-lane force/release.
+//! Campaigns run through `pe_sim::Campaign`, PPSFP-style: up to `64 * W`
+//! fault sites per bit-sliced slab (the lane width `W` auto-picked per
+//! shard, or forced with `--width`), one faulty machine per lane, every
+//! workload pattern driven broadcast — and the site list is additionally
+//! sharded across `parallel_map` workers in slab-aligned chunks, so the
+//! campaign parallelizes across threads *and* lanes. Each worker schedules
+//! one simulator and reuses it for its whole shard via per-lane
+//! force/release. Every campaign additionally reports its cone-scheduling
+//! stats: chunks evaluated through their fanout cone vs full-sweep
+//! fallbacks, and the cell evaluations saved vs cone-off.
 //!
 //! Usage: `cargo run --release -p pe-bench --bin faults
-//!         [max_sites] [--compare] [--collapse] [--width 1|2|4|8] [--events]`
+//!         [max_sites] [--compare] [--width 1|2|4|8] [--events]`
 //!
-//! `--compare` re-runs the same sites through the two reference paths — the
-//! previous pattern-parallel site-serial campaign, and (on a subsample) the
-//! rebuild-per-site serial oracle — asserts the reports agree, and prints
-//! the measured speedups. Verdicts are width-invariant, so `--compare` at a
-//! widened occupancy checks the wide engine against both references.
-//! `--compare` also cross-checks **toggle/activity counters** (not just
-//! classifications) between the scalar and bit-sliced engines on the same
-//! workload batch; `--events` adds the event-driven (dirty-cell worklist)
-//! engine to that cross-check. Every campaign additionally reports its
-//! cone-scheduling stats: chunks evaluated through their fanout cone vs
-//! full-sweep fallbacks, and the cell evaluations saved vs cone-off.
+//! `--compare` adds three checks and fails on any mismatch:
 //!
-//! `--collapse` additionally runs the statically+workload-collapsed
-//! campaign (`pe_sim::collapse`): equivalence classes, unobservable cones
-//! and workload-quiescent sites are retired before any lane is pinned, the
-//! surviving representatives sweep as usual, and the verdicts are expanded
-//! back over the full site list — asserted bit-identical to the
-//! uncollapsed report, with the site reduction and wall-clock printed.
+//! * the rebuild-per-site oracle (`pe_sim::faults::oracle`) on a subsample
+//!   of the sites must reproduce the campaign's report (the measured
+//!   speedup is printed). Verdicts are width-invariant, so `--compare` at a
+//!   widened occupancy checks the wide engine against the oracle;
+//! * the live `SimProfile` recorder must reconcile exactly with the
+//!   campaign's exit `ConeStats`;
+//! * classifications *and* toggle/activity counters must be bit-identical
+//!   between the scalar and bit-sliced engines on the same workload batch;
+//!   `--events` adds the event-driven (dirty-cell worklist) engine.
 
 use pe_core::engine::{self, ExperimentEngine, Job};
 use pe_core::pipeline::{build_netlist, cycles_per_inference, fault_workload, RunOptions};
 use pe_core::styles::DesignStyle;
 use pe_data::UciProfile;
 use pe_netlist::Netlist;
-use pe_obs::{ProfileRecorder, ProfileSnapshot, SimProfile};
-use pe_sim::collapse::{fault_campaign_comb_ppsfp_collapsed, fault_campaign_seq_ppsfp_collapsed};
+use pe_obs::{ProfileRecorder, ProfileSnapshot};
 use pe_sim::faults::{
-    enumerate_fault_sites, fault_campaign_comb, fault_campaign_comb_ppsfp_wide,
-    fault_campaign_comb_ppsfp_wide_obs, fault_campaign_seq, fault_campaign_seq_ppsfp_wide,
-    fault_campaign_seq_ppsfp_wide_obs, oracle, pattern_parallel, ConeMode, ConeStats, FaultReport,
-    FaultSite,
+    enumerate_fault_sites, oracle, Campaign, ConeMode, ConeStats, FaultReport, FaultSite,
 };
 use pe_sim::{BatchMode, LaneWidth, Simulator};
 use std::time::Instant;
@@ -57,14 +49,6 @@ const WORKLOAD: usize = 40;
 
 /// Site cap for the rebuild-per-site oracle timing (it is slow by design).
 const ORACLE_CAP: usize = 192;
-
-/// One campaign flavor: combinational (settle per pattern) or sequential
-/// (reset + `cycles` ticks per pattern).
-#[derive(Clone, Copy)]
-enum Flavor {
-    Comb,
-    Seq { cycles: u64 },
-}
 
 /// Splits the site list into per-worker shards whose sizes are multiples of
 /// the sweep's lane capacity (except the last) — `64 * W` when a width is
@@ -89,117 +73,63 @@ fn merge(partials: Vec<FaultReport>) -> FaultReport {
     })
 }
 
-/// One campaign implementation driven by [`run_sharded`]: the PPSFP
-/// default, the pattern-parallel dual, or the rebuild-per-site oracle. The
-/// [`LaneWidth`] override only matters to the PPSFP path; the reference
-/// paths ignore it.
-type CampaignPath = fn(
-    &Netlist,
-    &[FaultSite],
-    &[Vec<(String, i64)>],
-    &str,
-    Flavor,
-    Option<LaneWidth>,
-) -> FaultReport;
-
 /// Runs one campaign over site shards on the worker pool and returns the
 /// merged report with its wall-clock seconds.
 fn run_sharded(
-    nl: &Netlist,
     shards: &[Vec<FaultSite>],
-    workload: &[Vec<(String, i64)>],
-    flavor: Flavor,
-    width: Option<LaneWidth>,
     threads: usize,
-    path: CampaignPath,
+    path: impl Fn(&[FaultSite]) -> FaultReport + Sync,
 ) -> (FaultReport, f64) {
     let t0 = Instant::now();
-    let partials = engine::parallel_map(shards, threads, |shard| {
-        path(nl, shard, workload, "class", flavor, width)
-    });
+    let partials = engine::parallel_map(shards, threads, |shard| path(shard));
     (merge(partials), t0.elapsed().as_secs_f64())
 }
 
-fn ppsfp_path(
-    nl: &Netlist,
-    sites: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out: &str,
-    flavor: Flavor,
+/// The sharded campaign path: [`Campaign::run`] at the `--width` override
+/// (auto-picked per shard when absent).
+fn ppsfp_path<'a>(
+    nl: &'a Netlist,
+    workload: &'a [Vec<(String, i64)>],
+    cycles: u64,
     width: Option<LaneWidth>,
-) -> FaultReport {
-    match (flavor, width) {
-        (Flavor::Comb, None) => fault_campaign_comb(nl, sites, workload, out).expect("acyclic"),
-        (Flavor::Comb, Some(w)) => {
-            fault_campaign_comb_ppsfp_wide(nl, sites, workload, out, w).expect("acyclic")
-        }
-        (Flavor::Seq { cycles }, None) => {
-            fault_campaign_seq(nl, sites, workload, out, cycles).expect("acyclic")
-        }
-        (Flavor::Seq { cycles }, Some(w)) => {
-            fault_campaign_seq_ppsfp_wide(nl, sites, workload, out, cycles, w).expect("acyclic")
-        }
+) -> impl Fn(&[FaultSite]) -> FaultReport + Sync + 'a {
+    move |sites| {
+        let campaign = Campaign { width, ..Campaign::default() };
+        campaign.run(nl, sites, workload, "class", cycles).expect("acyclic").0
     }
 }
 
-fn patpar_path(
-    nl: &Netlist,
-    sites: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out: &str,
-    flavor: Flavor,
-    _width: Option<LaneWidth>,
-) -> FaultReport {
-    match flavor {
-        Flavor::Comb => {
-            pattern_parallel::fault_campaign_comb(nl, sites, workload, out).expect("acyclic")
+/// The rebuild-per-site reference path.
+fn oracle_path<'a>(
+    nl: &'a Netlist,
+    workload: &'a [Vec<(String, i64)>],
+    cycles: u64,
+) -> impl Fn(&[FaultSite]) -> FaultReport + Sync + 'a {
+    move |sites| {
+        if cycles == 0 {
+            oracle::fault_campaign_comb(nl, sites, workload, "class")
+        } else {
+            oracle::fault_campaign_seq(nl, sites, workload, "class", cycles)
         }
-        Flavor::Seq { cycles } => {
-            pattern_parallel::fault_campaign_seq(nl, sites, workload, out, cycles).expect("acyclic")
-        }
+        .expect("acyclic")
     }
 }
 
-fn oracle_path(
-    nl: &Netlist,
-    sites: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out: &str,
-    flavor: Flavor,
-    _width: Option<LaneWidth>,
-) -> FaultReport {
-    match flavor {
-        Flavor::Comb => oracle::fault_campaign_comb(nl, sites, workload, out).expect("acyclic"),
-        Flavor::Seq { cycles } => {
-            oracle::fault_campaign_seq(nl, sites, workload, out, cycles).expect("acyclic")
-        }
-    }
-}
-
-/// Runs the whole (unsharded) campaign through the `_obs` path at one
-/// explicit [`ConeMode`] with a live [`ProfileRecorder`] installed,
-/// returning the report, the campaign's exit work accounting, and the
-/// recorder's view of the same run (the reconciliation pair).
+/// Runs the whole (unsharded) campaign at one explicit [`ConeMode`] with a
+/// live [`ProfileRecorder`] installed, returning the report, the campaign's
+/// exit work accounting, and the recorder's view of the same run (the
+/// reconciliation pair).
 fn cone_run(
     nl: &Netlist,
     sites: &[FaultSite],
     workload: &[Vec<(String, i64)>],
-    flavor: Flavor,
+    cycles: u64,
     width: LaneWidth,
-    mode: ConeMode,
+    cone: ConeMode,
 ) -> (FaultReport, ConeStats, ProfileSnapshot) {
     let recorder = ProfileRecorder::new();
-    let profile = Some(&recorder as &dyn SimProfile);
-    let (report, stats) = match flavor {
-        Flavor::Comb => {
-            fault_campaign_comb_ppsfp_wide_obs(nl, sites, workload, "class", width, mode, profile)
-                .expect("acyclic")
-        }
-        Flavor::Seq { cycles } => fault_campaign_seq_ppsfp_wide_obs(
-            nl, sites, workload, "class", cycles, width, mode, profile,
-        )
-        .expect("acyclic"),
-    };
+    let campaign = Campaign { width: Some(width), cone, profile: Some(&recorder) };
+    let (report, stats) = campaign.run(nl, sites, workload, "class", cycles).expect("acyclic");
     (report, stats, recorder.snapshot())
 }
 
@@ -218,23 +148,19 @@ fn assert_profile_reconciles(label: &str, prof: &ProfileSnapshot, stats: &ConeSt
     assert_eq!(prof.campaign_sites, sites as u64, "{label}: recorder site count");
 }
 
-/// The counter gate `--compare` was missing: classifications *and*
+/// The activity gate of `--compare`: classifications *and*
 /// toggle/activity counters must be bit-identical between the scalar
 /// reference and the bit-sliced full-sweep engine at the same width — and,
 /// with `--events`, the event-driven worklist engine too.
 fn activity_crosscheck(
     nl: &Netlist,
     workload: &[Vec<(String, i64)>],
-    flavor: Flavor,
+    cycles: u64,
     width: LaneWidth,
     events: bool,
 ) {
     let vectors: Vec<Vec<i64>> =
         workload.iter().map(|e| e.iter().map(|(_, v)| *v).collect()).collect();
-    let cycles = match flavor {
-        Flavor::Comb => 0,
-        Flavor::Seq { cycles } => cycles,
-    };
     let run = |mode: BatchMode, ev: bool| {
         let mut sim = Simulator::new(nl).expect("acyclic");
         sim.set_batch_mode(mode);
@@ -265,7 +191,6 @@ fn activity_crosscheck(
 struct CampaignOpts {
     max_sites: usize,
     compare: bool,
-    collapse: bool,
     events: bool,
     width: Option<LaneWidth>,
     threads: usize,
@@ -277,14 +202,13 @@ fn campaign(
     style: DesignStyle,
     opts: &CampaignOpts,
 ) {
-    let CampaignOpts { max_sites, compare, collapse, events, width, threads } = *opts;
+    let CampaignOpts { max_sites, compare, events, width, threads } = *opts;
     let prepared = engine.prepared(profile, style);
     let nl = build_netlist(style, &prepared);
-    let flavor = match style {
-        DesignStyle::SequentialSvm => {
-            Flavor::Seq { cycles: cycles_per_inference(style, &prepared) }
-        }
-        _ => Flavor::Comb,
+    // Clock ticks per classification; 0 runs the combinational campaign.
+    let cycles = match style {
+        DesignStyle::SequentialSvm => cycles_per_inference(style, &prepared),
+        _ => 0,
     };
     let workload = fault_workload(&prepared, WORKLOAD);
     let mut sites = enumerate_fault_sites(&nl);
@@ -304,11 +228,12 @@ fn campaign(
         shards.len(),
         width.map_or("auto".to_owned(), |w| format!("{w} ({} lanes/sweep)", w.lanes())),
     );
-    let (report, secs) = run_sharded(&nl, &shards, &workload, flavor, width, threads, ppsfp_path);
+    let (report, secs) = run_sharded(&shards, threads, ppsfp_path(&nl, &workload, cycles, width));
 
-    let kind = match flavor {
-        Flavor::Comb => "combinational".to_owned(),
-        Flavor::Seq { cycles } => format!("sequential, {cycles} cycles/classification"),
+    let kind = if cycles == 0 {
+        "combinational".to_owned()
+    } else {
+        format!("sequential, {cycles} cycles/classification")
     };
     println!(
         "# Single-stuck-at fault campaign ({}, {}; {})\n",
@@ -324,10 +249,10 @@ fn campaign(
     // with cones off, both asserted bit-identical to the sharded campaign.
     let eff_width = width.unwrap_or_else(|| LaneWidth::for_sites(sites.len()));
     let (auto_report, auto_stats, auto_prof) =
-        cone_run(&nl, &sites, &workload, flavor, eff_width, ConeMode::Auto);
+        cone_run(&nl, &sites, &workload, cycles, eff_width, ConeMode::Auto);
     assert_eq!(auto_report, report, "cone-scheduled report must match the sharded campaign");
     let (never_report, never_stats, never_prof) =
-        cone_run(&nl, &sites, &workload, flavor, eff_width, ConeMode::Never);
+        cone_run(&nl, &sites, &workload, cycles, eff_width, ConeMode::Never);
     assert_eq!(never_report, report, "cone-off report must match the sharded campaign");
     let avoided =
         100.0 * (1.0 - auto_stats.cell_evals as f64 / never_stats.cell_evals.max(1) as f64);
@@ -349,72 +274,29 @@ fn campaign(
         assert_profile_reconciles("cone auto", &auto_prof, &auto_stats, sites.len());
         assert_profile_reconciles("cone never", &never_prof, &never_stats, sites.len());
         println!("profile check    : SimProfile recorder == exit ConeStats (auto and never)");
-    }
 
-    if collapse {
-        // Collapsed campaign: classes + unobservable + workload-quiet sites
-        // retired, representatives swept, verdicts expanded back. The report
-        // must be indistinguishable from the full campaign's.
-        let t0 = Instant::now();
-        let (creport, cstats) = match flavor {
-            Flavor::Comb => {
-                fault_campaign_comb_ppsfp_collapsed(&nl, &sites, &workload, "class", eff_width)
-                    .expect("acyclic")
-            }
-            Flavor::Seq { cycles } => fault_campaign_seq_ppsfp_collapsed(
-                &nl, &sites, &workload, "class", cycles, eff_width,
-            )
-            .expect("acyclic"),
-        };
-        let c_secs = t0.elapsed().as_secs_f64();
-        assert_eq!(creport, report, "collapsed report must be bit-identical to the full campaign");
-        let t1 = Instant::now();
-        let _ = ppsfp_path(&nl, &sites, &workload, "class", flavor, Some(eff_width));
-        let f_secs = t1.elapsed().as_secs_f64();
-        println!(
-            "fault collapsing : {} sites -> {} simulated ({} classes, {} statically benign, \
-             {} workload-quiet; {:.1} % collapsed away)",
-            cstats.sites,
-            cstats.simulated,
-            cstats.classes,
-            cstats.static_benign,
-            cstats.workload_benign,
-            100.0 * cstats.reduction(),
-        );
-        println!(
-            "collapsed run    : {:.3} s vs {:.3} s uncollapsed ({:.2}x), report bit-identical",
-            c_secs,
-            f_secs,
-            f_secs / c_secs.max(1e-9),
-        );
-    }
-
-    if compare {
-        let (pp, pp_secs) =
-            run_sharded(&nl, &shards, &workload, flavor, width, threads, patpar_path);
-        assert_eq!(pp, report, "pattern-parallel report must match PPSFP");
         let oracle_sites: Vec<FaultSite> =
             sites.iter().copied().step_by(pe_bench::sample_step(sites.len(), ORACLE_CAP)).collect();
         let oracle_shards = sweep_aligned_shards(&oracle_sites, threads, width);
         let (ora, ora_secs) =
-            run_sharded(&nl, &oracle_shards, &workload, flavor, width, threads, oracle_path);
+            run_sharded(&oracle_shards, threads, oracle_path(&nl, &workload, cycles));
         let (ppsfp_sub, ppsfp_sub_secs) =
-            run_sharded(&nl, &oracle_shards, &workload, flavor, width, threads, ppsfp_path);
+            run_sharded(&oracle_shards, threads, ppsfp_path(&nl, &workload, cycles, width));
         assert_eq!(ora, ppsfp_sub, "oracle report must match PPSFP on the subsample");
         let per_site = |s: f64, n: usize| 1e6 * s / n.max(1) as f64;
-        println!("\nper-site cost    : {:.1} µs PPSFP | {:.1} µs pattern-parallel | {:.1} µs rebuild oracle",
-            per_site(secs, report.total),
-            per_site(pp_secs, pp.total),
-            per_site(ora_secs, ora.total));
         println!(
-            "speedup          : {:.1}x vs pattern-parallel, {:.0}x vs serial-site rebuild oracle",
-            pp_secs / secs.max(1e-9),
+            "\nper-site cost    : {:.1} µs PPSFP | {:.1} µs rebuild oracle",
+            per_site(secs, report.total),
+            per_site(ora_secs, ora.total)
+        );
+        println!(
+            "speedup          : {:.0}x vs serial-site rebuild oracle",
             per_site(ora_secs, ora.total) / per_site(ppsfp_sub_secs, ppsfp_sub.total).max(1e-9)
         );
         activity_crosscheck(
             &nl,
             &workload,
-            flavor,
+            cycles,
             width.unwrap_or_else(|| LaneWidth::auto_for_netlist(&nl)),
             events,
         );
@@ -425,15 +307,12 @@ fn campaign(
 fn main() {
     let mut max_sites: usize = 0; // 0 = the full site list
     let mut compare = false;
-    let mut collapse = false;
     let mut events = false;
     let mut width: Option<LaneWidth> = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         if arg == "--compare" {
             compare = true;
-        } else if arg == "--collapse" {
-            collapse = true;
         } else if arg == "--events" {
             events = true;
         } else if arg == "--width" {
@@ -447,9 +326,7 @@ fn main() {
         } else if let Ok(n) = arg.parse() {
             max_sites = n;
         } else {
-            eprintln!(
-                "usage: faults [max_sites] [--compare] [--collapse] [--width 1|2|4|8] [--events]"
-            );
+            eprintln!("usage: faults [max_sites] [--compare] [--width 1|2|4|8] [--events]");
             std::process::exit(2);
         }
     }
@@ -461,14 +338,8 @@ fn main() {
         ],
         RunOptions::default(),
     );
-    let opts = CampaignOpts {
-        max_sites,
-        compare,
-        collapse,
-        events,
-        width,
-        threads: pe_bench::grid_threads(),
-    };
+    let opts =
+        CampaignOpts { max_sites, compare, events, width, threads: pe_bench::grid_threads() };
     // The fully-parallel baseline (combinational campaign) and the paper's
     // sequential SVM (clocked campaign) — the headline design's robustness
     // was previously never measured here.

@@ -7,9 +7,8 @@
 //! 1. **Equivalence.** Two faults are equivalent when no test can
 //!    distinguish them — e.g. on an AND gate whose input `a` fans out
 //!    nowhere else, `a` stuck-at-0 and the output stuck-at-0 produce
-//!    identical circuits. A campaign needs one representative per class;
-//!    verdicts expand back to the full list bit-for-bit
-//!    ([`CollapsedSites::expand_verdicts`]).
+//!    identical circuits. A campaign needs one representative per class:
+//!    every member's verdict is its representative's.
 //! 2. **Observability pruning.** A fault on a net whose structural fanout
 //!    cone (closed over register feedback) contains no output-port bit can
 //!    never diverge an observed value: the class is *statically benign* and
@@ -61,7 +60,8 @@ pub struct StuckAt {
 /// ascending id order, stuck-at-0 then stuck-at-1 adjacent.
 ///
 /// Matches `pe_sim::faults::enumerate_fault_sites` element-for-element
-/// (`pe-sim` pins this with a differential test).
+/// (pinned by `lint_site_enumeration_matches_sim_enumeration` in
+/// `pe-bench`'s `lint_grid` tests).
 #[must_use]
 pub fn enumerate_sites(nl: &Netlist) -> Vec<StuckAt> {
     let mut sites = Vec::new();
@@ -168,24 +168,6 @@ impl CollapsedSites {
         doms.sort_unstable();
         doms.dedup();
         doms.len()
-    }
-
-    /// Expands per-simulated-representative verdicts back to the full site
-    /// list: `simulated[i]` is the verdict for `simulate[i]`, every member
-    /// of a simulated class receives its representative's verdict, and every
-    /// member of a statically-benign class receives `benign`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `simulated.len() != self.simulate.len()`.
-    #[must_use]
-    pub fn expand_verdicts<T: Copy>(&self, simulated: &[T], benign: T) -> Vec<T> {
-        assert_eq!(simulated.len(), self.simulate.len());
-        let mut value = vec![benign; self.sites.len()];
-        for (i, &r) in self.simulate.iter().enumerate() {
-            value[r] = simulated[i];
-        }
-        self.rep_of.iter().map(|&r| value[r]).collect()
     }
 }
 
@@ -383,11 +365,6 @@ mod tests {
         assert_eq!(c.num_representatives(), 2);
         assert_eq!(c.num_simulated(), 2, "everything reaches the output");
         assert!((c.reduction() - 2.0 / 3.0).abs() < 1e-12);
-        // Expansion hands every site its class representative's verdict.
-        let expanded = c.expand_verdicts(&[10u32, 20u32], 0);
-        assert_eq!(expanded.len(), 6);
-        assert_eq!(expanded.iter().filter(|&&v| v == 10).count(), 3);
-        assert!(!expanded.contains(&0));
     }
 
     #[test]
@@ -455,9 +432,6 @@ mod tests {
         assert_eq!(c.num_sites(), 6);
         assert_eq!(c.num_simulated(), 2, "only the live AND's sites simulate");
         assert_eq!(c.static_benign.len() + c.num_simulated(), c.num_representatives());
-        // Expansion marks the dead cone benign without any verdict input.
-        let expanded = c.expand_verdicts(&[true, true], false);
-        assert_eq!(expanded.iter().filter(|&&v| v).count(), 2);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!
 //! The [`collapse`] module reuses the same structural view for **fault
 //! collapsing**: equivalence classes (and a reported dominance relation)
-//! over stuck-at sites, which `pe-sim` uses to run fault campaigns on class
-//! representatives only and expand verdicts back bit-for-bit.
+//! over stuck-at sites, plus the observability pruning that proves whole
+//! classes benign; `lint --all` reports the resulting site reduction.
 //!
 //! # Example
 //!

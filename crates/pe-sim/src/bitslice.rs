@@ -142,8 +142,10 @@ impl LaneWidth {
 
     /// Smallest width whose sweep covers `n` fault sites (capped at
     /// [`LaneWidth::W8`]) — the auto choice of the PPSFP campaigns, which
-    /// are width-invariant in their verdicts, so wider is purely fewer
-    /// sweeps.
+    /// are width-invariant in their verdicts. Wider means fewer sweeps, not
+    /// always less time: each sweep also costs `W` words per net, and on
+    /// the 4126-site sequential-SVM campaign in `BENCH_kernels.json` W=4
+    /// finishes faster than W=8.
     #[must_use]
     pub fn for_sites(n: usize) -> Self {
         Self::ALL.into_iter().find(|w| n <= w.lanes()).unwrap_or(LaneWidth::W8)
@@ -689,8 +691,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     /// normally. Pinned lanes are re-merged after every cell evaluation and
     /// register update, so `64 * W` *different* faulty machines can tick in
     /// lockstep in one slab — the PPSFP mechanism behind
-    /// [`crate::faults::fault_campaign_comb_ppsfp`] and
-    /// [`crate::faults::fault_campaign_seq_ppsfp`]. Repeated calls merge:
+    /// [`crate::faults::Campaign::run`]. Repeated calls merge:
     /// forcing the same net in different lanes (e.g. its stuck-at-0 and
     /// stuck-at-1 sites packed into one chunk) accumulates.
     pub fn force_lanes(&mut self, net: pe_netlist::NetId, values: [u64; W], mask: [u64; W]) {

@@ -4,9 +4,11 @@
 //! transistors short or open at percent-level rates, so the printed-ML
 //! literature cares which faults actually flip classifications. This module
 //! implements the classic single-stuck-at model: a [`FaultSite`] pins one
-//! net to a constant, and [`fault_campaign_comb`] / [`fault_campaign_seq`]
-//! measure how many injected faults change a design's predictions on a
-//! workload — the robustness analog of test-pattern fault coverage.
+//! net to a constant, and a [`Campaign`] measures how many injected faults
+//! change a design's predictions on a workload — the robustness analog of
+//! test-pattern fault coverage. [`Campaign::run`] is the one campaign entry
+//! point; [`fault_campaign_comb`] / [`fault_campaign_seq`] are shorthands
+//! for `Campaign::default().run(..)`.
 //!
 //! Campaigns reuse **one** scheduled [`BitSlicedSimulator`] for every fault
 //! site and run **PPSFP-style** (parallel-pattern single-fault propagation,
@@ -19,21 +21,18 @@
 //! fault-free golden response accumulates the verdicts, early-exiting once
 //! every site in the sweep has diverged.
 //!
-//! Campaign verdicts are **width-invariant** — each lane is an independent
-//! faulty machine reset per entry — so the default campaigns auto-pick the
-//! smallest slab covering the site list ([`LaneWidth::for_sites`]): a
-//! campaign with more than 64 sites automatically completes in fewer
-//! sweeps. The `_ppsfp_wide` variants take an explicit width.
+//! A [`Campaign`] has three knobs, none of which changes a verdict:
 //!
-//! Two slower implementations survive as references the differential suite
-//! checks the PPSFP campaigns against, site by site:
+//! * `width` — the slab width. Verdicts are **width-invariant** (each lane
+//!   is an independent faulty machine reset per entry), so `None` picks the
+//!   smallest slab covering the site list ([`LaneWidth::for_sites`]).
+//! * `cone` — the [`ConeMode`]: evaluate a chunk only inside the fanout
+//!   cone of its pinned sites, or sweep the whole netlist.
+//! * `profile` — a live [`SimProfile`] hook fed per chunk.
 //!
-//! * [`pattern_parallel`] — the previous fast path: sites iterated serially,
-//!   64 workload *patterns* per word (the dual packing; it wastes lanes
-//!   whenever the workload is shorter than 64 and pays per-site
-//!   force/run/release overhead on every single site).
-//! * [`oracle`] — the original flow: a freshly scheduled [`FaultySimulator`]
-//!   per site, one pattern at a time.
+//! [`oracle`] is the reference the differential suites check every
+//! campaign against, site for site: the original flow, a freshly scheduled
+//! [`FaultySimulator`] per site, one pattern at a time.
 
 use crate::bitslice::{lane_mask_wide, BitSlicedSimulator, LaneWidth, LANES};
 use crate::sim::Simulator;
@@ -176,8 +175,8 @@ pub enum ConeMode {
     Never,
 }
 
-/// Work accounting of one PPSFP campaign (second element of the `_opts`
-/// campaign results): how many sweep chunks took the cone-scheduled path and
+/// Work accounting of one PPSFP campaign (second element of
+/// [`Campaign::run`]'s result): how many sweep chunks took the cone-scheduled path and
 /// the total combinational cell evaluations spent, the metric cone
 /// scheduling exists to shrink at identical verdicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -277,10 +276,170 @@ impl GoldenTrajectory {
     }
 }
 
-/// Runs a fault campaign on a **combinational** design: for each fault,
-/// drives every workload vector and compares the output port against the
-/// fault-free run. This is the PPSFP path
-/// ([`fault_campaign_comb_ppsfp`]) — one fault site per bit-sliced lane.
+/// One stuck-at fault campaign: the lane width, cone-scheduling policy and
+/// optional live profile hook of a PPSFP run. `Campaign::default()` is the
+/// campaign every caller gets unless it asks for something else: the
+/// auto-picked width ([`LaneWidth::for_sites`]), [`ConeMode::Auto`] and no
+/// profile.
+///
+/// Fault sites are packed `64 * W` per slab (site `l` of a chunk pinned in
+/// lane `l` via [`BitSlicedSimulator::force_lane`]), every workload pattern
+/// is driven broadcast across the lanes, and a per-lane divergence mask
+/// against the fault-free golden response collects the verdicts, with an
+/// early exit once every site in the sweep has diverged. One simulator is
+/// scheduled for the whole campaign. Each lane is an independent faulty
+/// machine, so the report is bit-identical to the rebuild-per-site
+/// [`oracle`], site for site, at every width and in every cone mode; the
+/// knobs only change the work done.
+#[derive(Default)]
+pub struct Campaign<'p> {
+    /// Slab width; `None` picks the smallest width covering the site list
+    /// ([`LaneWidth::for_sites`]).
+    pub width: Option<LaneWidth>,
+    /// Cone-scheduling policy.
+    pub cone: ConeMode,
+    /// Hook fed live during the campaign: once for the golden run
+    /// ([`SimProfile::on_campaign_golden`]) and once per `64 * W`-site chunk
+    /// ([`SimProfile::on_chunk`]), so a [`pe_obs::ProfileRecorder`]'s
+    /// campaign totals reconcile exactly with the returned [`ConeStats`].
+    pub profile: Option<&'p dyn SimProfile>,
+}
+
+impl Campaign<'_> {
+    /// Runs the campaign: each fault in `sites` is judged critical iff it
+    /// changes `out_port` on some workload entry.
+    ///
+    /// `cycles` follows the [`Simulator::run_batch`] convention: `0` runs a
+    /// settle-only **combinational** campaign (drive, settle, compare);
+    /// `cycles >= 1` runs the **sequential** per-classification reset
+    /// protocol — each entry starts from power-on register state (faults
+    /// stay pinned across the reset), is clocked `cycles` times with its
+    /// inputs held, and the output port is compared after the last tick.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycles == 0` on a sequential design, or on unknown ports.
+    ///
+    /// # Errors
+    ///
+    /// Propagates scheduling errors.
+    pub fn run(
+        &self,
+        nl: &Netlist,
+        sites: &[FaultSite],
+        workload: &[Vec<(String, i64)>],
+        out_port: &str,
+        cycles: u64,
+    ) -> Result<(FaultReport, ConeStats), NetlistError> {
+        if cycles == 0 {
+            assert!(
+                crate::sim::is_combinational(nl),
+                "fault_campaign_comb requires a combinational design"
+            );
+        }
+        let cycles = (cycles > 0).then_some(cycles);
+        match self.width.unwrap_or_else(|| LaneWidth::for_sites(sites.len())) {
+            LaneWidth::W1 => self.run_w::<1>(nl, sites, workload, out_port, cycles),
+            LaneWidth::W2 => self.run_w::<2>(nl, sites, workload, out_port, cycles),
+            LaneWidth::W4 => self.run_w::<4>(nl, sites, workload, out_port, cycles),
+            LaneWidth::W8 => self.run_w::<8>(nl, sites, workload, out_port, cycles),
+        }
+    }
+
+    /// The width-monomorphized campaign frame: pin `64 * W` sites per
+    /// sweep, drive the workload broadcast, count the diverged lanes,
+    /// release. Under [`ConeMode::Auto`] / [`ConeMode::Always`] each chunk
+    /// is evaluated through its fanout cone (frontier loaded from a
+    /// once-captured [`GoldenTrajectory`]) whenever the cone is sparse
+    /// enough to pay; every chunk's verdicts are bit-identical either way.
+    fn run_w<const W: usize>(
+        &self,
+        nl: &Netlist,
+        sites: &[FaultSite],
+        workload: &[Vec<(String, i64)>],
+        out_port: &str,
+        cycles: Option<u64>,
+    ) -> Result<(FaultReport, ConeStats), NetlistError> {
+        let mut sim = BitSlicedSimulator::<'_, W>::new(nl)?;
+        let golden = match cycles {
+            None => sim.run_workload_comb(workload, out_port),
+            Some(c) => sim.run_workload_seq_reset(workload, c, out_port),
+        };
+        if let Some(p) = self.profile {
+            // Fed first so a recorder's campaign totals reconcile exactly with
+            // the exit-summary `ConeStats::cell_evals` (golden + chunk deltas).
+            p.on_campaign_golden(sim.cell_evals());
+        }
+        let prep = if self.cone != ConeMode::Never && !sites.is_empty() {
+            Some((FanoutCones::new(nl), GoldenTrajectory::capture(nl, workload, cycles)?))
+        } else {
+            None
+        };
+        let mut stats = ConeStats::default();
+        let mut critical = 0usize;
+        for chunk in sites.chunks(LANES * W) {
+            stats.chunks += 1;
+            let evals_before = sim.cell_evals();
+            let watch = force_site_lanes(&mut sim, chunk);
+            let mut cone_diverged = None;
+            let mut cone_cells = 0usize;
+            if let Some((cones, traj)) = &prep {
+                let mut roots: Vec<NetId> = chunk.iter().map(|f| f.net).collect();
+                roots.dedup();
+                let sched = sim.cone_schedule(cones, &roots);
+                cone_cells = sched.comb_cells();
+                // Density threshold: past ~3/4 of the core a cone pass does
+                // nearly a full sweep's work with worse locality, so Auto
+                // falls back to the plain path.
+                let dense = sched.comb_cells() * 4 > sim.scheduled_cells() * 3;
+                if self.cone == ConeMode::Always || !dense {
+                    cone_diverged =
+                        Some(sim.lanes_diverging_cone(&sched, traj, out_port, &golden, watch));
+                }
+            }
+            let (diverged, cone_scheduled) = match cone_diverged {
+                Some(d) => {
+                    stats.cone_chunks += 1;
+                    (d, true)
+                }
+                None => {
+                    stats.fallback_chunks += 1;
+                    let d = match cycles {
+                        None => sim.lanes_diverging_comb(workload, out_port, &golden, watch),
+                        Some(c) => {
+                            sim.lanes_diverging_seq_reset(workload, c, out_port, &golden, watch)
+                        }
+                    };
+                    (d, false)
+                }
+            };
+            critical += diverged
+                .iter()
+                .zip(watch)
+                .map(|(d, w)| (d & w).count_ones() as usize)
+                .sum::<usize>();
+            for f in chunk {
+                sim.release_net(f.net);
+            }
+            if let Some(p) = self.profile {
+                p.on_chunk(&SimChunk {
+                    sites: chunk.len(),
+                    cone_scheduled,
+                    cone_cells,
+                    core_cells: sim.scheduled_cells(),
+                    cell_evals: sim.cell_evals() - evals_before,
+                });
+            }
+        }
+        stats.cell_evals = sim.cell_evals();
+        let report = FaultReport { critical, benign: sites.len() - critical, total: sites.len() };
+        Ok((report, stats))
+    }
+}
+
+/// Runs the default [`Campaign`] on a **combinational** design: for each
+/// fault, drives every workload vector and compares the output port against
+/// the fault-free run.
 ///
 /// # Panics
 ///
@@ -296,19 +455,19 @@ pub fn fault_campaign_comb(
     workload: &[Vec<(String, i64)>],
     out_port: &str,
 ) -> Result<FaultReport, NetlistError> {
-    fault_campaign_comb_ppsfp(nl, faults, workload, out_port)
+    Campaign::default().run(nl, faults, workload, out_port, 0).map(|(report, _)| report)
 }
 
-/// Runs a fault campaign on a **sequential** design: each workload entry
-/// starts from power-on register state (faults stay pinned across the
-/// reset), is driven for `cycles` clock ticks (inputs held), and the output
-/// port is compared against the fault-free run — faults are judged per
-/// classification. This is the PPSFP path
-/// ([`fault_campaign_seq_ppsfp`]) — one fault site per bit-sliced lane.
+/// Runs the default [`Campaign`] on a **sequential** design under the
+/// per-classification reset protocol: each workload entry starts from
+/// power-on register state (faults stay pinned across the reset), is driven
+/// for `cycles` clock ticks (inputs held), and the output port is compared
+/// against the fault-free run.
 ///
 /// # Panics
 ///
-/// Panics on unknown ports or `cycles == 0`.
+/// Panics on unknown ports, or if `cycles == 0` (the combinational
+/// campaign, see [`Campaign::run`]) on a sequential design.
 ///
 /// # Errors
 ///
@@ -320,7 +479,7 @@ pub fn fault_campaign_seq(
     out_port: &str,
     cycles: u64,
 ) -> Result<FaultReport, NetlistError> {
-    fault_campaign_seq_ppsfp(nl, faults, workload, out_port, cycles)
+    Campaign::default().run(nl, faults, workload, out_port, cycles).map(|(report, _)| report)
 }
 
 /// Pins one chunk of fault sites, one per lane, and returns the watch mask.
@@ -332,478 +491,6 @@ fn force_site_lanes<const W: usize>(
         sim.force_lane(f.net, l, f.stuck_at);
     }
     lane_mask_wide::<W>(chunk.len())
-}
-
-/// The width-monomorphized PPSFP campaign frame shared by the comb and seq
-/// entry points: pin `64 * W` sites per sweep, drive the workload broadcast,
-/// accumulate divergence, release. Under [`ConeMode::Auto`] /
-/// [`ConeMode::Always`] each chunk is evaluated through its fanout cone
-/// (frontier loaded from a once-captured [`GoldenTrajectory`]) whenever the
-/// cone is sparse enough to pay; every chunk's verdicts are bit-identical
-/// either way.
-fn fault_campaign_ppsfp_w<const W: usize>(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    cycles: Option<u64>,
-    mode: ConeMode,
-    profile: Option<&dyn SimProfile>,
-) -> Result<(FaultReport, ConeStats), NetlistError> {
-    let (verdicts, stats) = fault_campaign_ppsfp_verdicts_w::<W>(
-        nl, faults, workload, out_port, cycles, mode, profile,
-    )?;
-    let critical = verdicts.iter().filter(|&&v| v).count();
-    Ok((FaultReport { critical, benign: faults.len() - critical, total: faults.len() }, stats))
-}
-
-/// The per-site form of the PPSFP frame: `verdicts[i]` is true iff pinning
-/// `faults[i]` diverged the observed port on some workload entry. The
-/// aggregate campaigns fold this into a [`FaultReport`]; the collapsed
-/// campaigns ([`crate::collapse`]) expand it back over equivalence classes.
-fn fault_campaign_ppsfp_verdicts_w<const W: usize>(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    cycles: Option<u64>,
-    mode: ConeMode,
-    profile: Option<&dyn SimProfile>,
-) -> Result<(Vec<bool>, ConeStats), NetlistError> {
-    let mut sim = BitSlicedSimulator::<'_, W>::new(nl)?;
-    let golden = match cycles {
-        None => sim.run_workload_comb(workload, out_port),
-        Some(c) => sim.run_workload_seq_reset(workload, c, out_port),
-    };
-    if let Some(p) = profile {
-        // Fed first so a recorder's campaign totals reconcile exactly with
-        // the exit-summary `ConeStats::cell_evals` (golden + chunk deltas).
-        p.on_campaign_golden(sim.cell_evals());
-    }
-    let prep = if mode != ConeMode::Never && !faults.is_empty() {
-        Some((FanoutCones::new(nl), GoldenTrajectory::capture(nl, workload, cycles)?))
-    } else {
-        None
-    };
-    let mut stats = ConeStats::default();
-    let mut verdicts = Vec::with_capacity(faults.len());
-    for chunk in faults.chunks(LANES * W) {
-        stats.chunks += 1;
-        let evals_before = sim.cell_evals();
-        let watch = force_site_lanes(&mut sim, chunk);
-        let mut cone_diverged = None;
-        let mut cone_cells = 0usize;
-        if let Some((cones, traj)) = &prep {
-            let mut roots: Vec<NetId> = chunk.iter().map(|f| f.net).collect();
-            roots.dedup();
-            let sched = sim.cone_schedule(cones, &roots);
-            cone_cells = sched.comb_cells();
-            // Density threshold: past ~3/4 of the core a cone pass does
-            // nearly a full sweep's work with worse locality, so Auto falls
-            // back to the plain path.
-            let dense = sched.comb_cells() * 4 > sim.scheduled_cells() * 3;
-            if mode == ConeMode::Always || !dense {
-                cone_diverged =
-                    Some(sim.lanes_diverging_cone(&sched, traj, out_port, &golden, watch));
-            }
-        }
-        let (diverged, cone_scheduled) = match cone_diverged {
-            Some(d) => {
-                stats.cone_chunks += 1;
-                (d, true)
-            }
-            None => {
-                stats.fallback_chunks += 1;
-                let d = match cycles {
-                    None => sim.lanes_diverging_comb(workload, out_port, &golden, watch),
-                    Some(c) => sim.lanes_diverging_seq_reset(workload, c, out_port, &golden, watch),
-                };
-                (d, false)
-            }
-        };
-        for l in 0..chunk.len() {
-            verdicts.push(diverged[l / 64] >> (l % 64) & 1 == 1);
-        }
-        for f in chunk {
-            sim.release_net(f.net);
-        }
-        if let Some(p) = profile {
-            p.on_chunk(&SimChunk {
-                sites: chunk.len(),
-                cone_scheduled,
-                cone_cells,
-                core_cells: sim.scheduled_cells(),
-                cell_evals: sim.cell_evals() - evals_before,
-            });
-        }
-    }
-    stats.cell_evals = sim.cell_evals();
-    Ok((verdicts, stats))
-}
-
-/// Width-dispatched per-site PPSFP verdicts for the collapsed campaigns.
-pub(crate) fn ppsfp_verdicts(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    cycles: Option<u64>,
-    width: LaneWidth,
-    mode: ConeMode,
-) -> Result<(Vec<bool>, ConeStats), NetlistError> {
-    match width {
-        LaneWidth::W1 => {
-            fault_campaign_ppsfp_verdicts_w::<1>(nl, faults, workload, out_port, cycles, mode, None)
-        }
-        LaneWidth::W2 => {
-            fault_campaign_ppsfp_verdicts_w::<2>(nl, faults, workload, out_port, cycles, mode, None)
-        }
-        LaneWidth::W4 => {
-            fault_campaign_ppsfp_verdicts_w::<4>(nl, faults, workload, out_port, cycles, mode, None)
-        }
-        LaneWidth::W8 => {
-            fault_campaign_ppsfp_verdicts_w::<8>(nl, faults, workload, out_port, cycles, mode, None)
-        }
-    }
-}
-
-/// PPSFP fault campaign on a **combinational** design at an explicit
-/// [`LaneWidth`]: fault sites are packed `64 * W` per slab (site `l` of a
-/// chunk pinned in lane `l` via [`BitSlicedSimulator::force_lane`]), every
-/// workload pattern is driven broadcast across the lanes, and a per-lane
-/// divergence mask against the fault-free golden response collects the
-/// verdicts — with an early exit once every site in the sweep has diverged.
-/// One simulator is scheduled for the whole campaign.
-///
-/// Settled values are lane-wise pure functions of the broadcast inputs and
-/// the lane's pinned net, so the verdicts are bit-identical to the
-/// rebuild-per-site reference ([`oracle::fault_campaign_comb`]), site for
-/// site, at every width.
-///
-/// # Panics
-///
-/// Panics if the design is sequential or ports are unknown.
-///
-/// # Errors
-///
-/// Propagates scheduling errors.
-pub fn fault_campaign_comb_ppsfp_wide(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    width: LaneWidth,
-) -> Result<FaultReport, NetlistError> {
-    fault_campaign_comb_ppsfp_wide_opts(nl, faults, workload, out_port, width, ConeMode::Auto)
-        .map(|(report, _)| report)
-}
-
-/// [`fault_campaign_comb_ppsfp_wide`] with an explicit [`ConeMode`],
-/// additionally returning the campaign's [`ConeStats`]. Verdicts are
-/// bit-identical across every mode; only the work accounting differs.
-///
-/// # Panics
-///
-/// Panics if the design is sequential or ports are unknown.
-///
-/// # Errors
-///
-/// Propagates scheduling errors.
-pub fn fault_campaign_comb_ppsfp_wide_opts(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    width: LaneWidth,
-    mode: ConeMode,
-) -> Result<(FaultReport, ConeStats), NetlistError> {
-    fault_campaign_comb_ppsfp_wide_obs(nl, faults, workload, out_port, width, mode, None)
-}
-
-/// [`fault_campaign_comb_ppsfp_wide_opts`] with an optional [`SimProfile`]
-/// hook fed live during the campaign: once per `64 * W`-site chunk
-/// ([`SimProfile::on_chunk`] — cone-scheduled or fallback, with the
-/// cone/core cell counts and the chunk's cell-evaluation cost) and once for
-/// the golden run ([`SimProfile::on_campaign_golden`]). A
-/// [`pe_obs::ProfileRecorder`]'s campaign totals reconcile exactly with the
-/// returned [`ConeStats`].
-///
-/// # Panics
-///
-/// Panics if the design is sequential or ports are unknown.
-///
-/// # Errors
-///
-/// Propagates scheduling errors.
-pub fn fault_campaign_comb_ppsfp_wide_obs(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    width: LaneWidth,
-    mode: ConeMode,
-    profile: Option<&dyn SimProfile>,
-) -> Result<(FaultReport, ConeStats), NetlistError> {
-    assert!(
-        crate::sim::is_combinational(nl),
-        "fault_campaign_comb requires a combinational design"
-    );
-    let p = profile;
-    match width {
-        LaneWidth::W1 => fault_campaign_ppsfp_w::<1>(nl, faults, workload, out_port, None, mode, p),
-        LaneWidth::W2 => fault_campaign_ppsfp_w::<2>(nl, faults, workload, out_port, None, mode, p),
-        LaneWidth::W4 => fault_campaign_ppsfp_w::<4>(nl, faults, workload, out_port, None, mode, p),
-        LaneWidth::W8 => fault_campaign_ppsfp_w::<8>(nl, faults, workload, out_port, None, mode, p),
-    }
-}
-
-/// PPSFP fault campaign on a **combinational** design at the auto-picked
-/// width: the smallest slab covering the site list
-/// ([`LaneWidth::for_sites`]), so campaigns with more than 64 sites finish
-/// in fewer sweeps at identical verdicts. See
-/// [`fault_campaign_comb_ppsfp_wide`].
-///
-/// # Panics
-///
-/// Panics if the design is sequential or ports are unknown.
-///
-/// # Errors
-///
-/// Propagates scheduling errors.
-pub fn fault_campaign_comb_ppsfp(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-) -> Result<FaultReport, NetlistError> {
-    fault_campaign_comb_ppsfp_wide(
-        nl,
-        faults,
-        workload,
-        out_port,
-        LaneWidth::for_sites(faults.len()),
-    )
-}
-
-/// PPSFP fault campaign on a **sequential** design at an explicit
-/// [`LaneWidth`], under the per-classification reset protocol: `64 * W`
-/// faulty machines — one fault site per lane — reset, load the broadcast
-/// pattern and tick in lockstep, per workload entry, against the fault-free
-/// golden response ([`BitSlicedSimulator::lanes_diverging_seq_reset`]). The
-/// reset keeps pinned lanes pinned, so the verdicts are bit-identical to the
-/// rebuild-per-site reference ([`oracle::fault_campaign_seq`]), site for
-/// site, at every width.
-///
-/// # Panics
-///
-/// Panics on unknown ports or `cycles == 0`.
-///
-/// # Errors
-///
-/// Propagates scheduling errors.
-pub fn fault_campaign_seq_ppsfp_wide(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    cycles: u64,
-    width: LaneWidth,
-) -> Result<FaultReport, NetlistError> {
-    fault_campaign_seq_ppsfp_wide_opts(
-        nl,
-        faults,
-        workload,
-        out_port,
-        cycles,
-        width,
-        ConeMode::Auto,
-    )
-    .map(|(report, _)| report)
-}
-
-/// [`fault_campaign_seq_ppsfp_wide`] with an explicit [`ConeMode`],
-/// additionally returning the campaign's [`ConeStats`]. Verdicts are
-/// bit-identical across every mode; only the work accounting differs.
-///
-/// # Panics
-///
-/// Panics on unknown ports or `cycles == 0`.
-///
-/// # Errors
-///
-/// Propagates scheduling errors.
-pub fn fault_campaign_seq_ppsfp_wide_opts(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    cycles: u64,
-    width: LaneWidth,
-    mode: ConeMode,
-) -> Result<(FaultReport, ConeStats), NetlistError> {
-    fault_campaign_seq_ppsfp_wide_obs(nl, faults, workload, out_port, cycles, width, mode, None)
-}
-
-/// [`fault_campaign_seq_ppsfp_wide_opts`] with an optional [`SimProfile`]
-/// hook fed live during the campaign — the sequential counterpart of
-/// [`fault_campaign_comb_ppsfp_wide_obs`]; see there for the feed points and
-/// the reconciliation guarantee with the returned [`ConeStats`].
-///
-/// # Panics
-///
-/// Panics on unknown ports or `cycles == 0`.
-///
-/// # Errors
-///
-/// Propagates scheduling errors.
-#[allow(clippy::too_many_arguments)]
-pub fn fault_campaign_seq_ppsfp_wide_obs(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    cycles: u64,
-    width: LaneWidth,
-    mode: ConeMode,
-    profile: Option<&dyn SimProfile>,
-) -> Result<(FaultReport, ConeStats), NetlistError> {
-    let c = Some(cycles);
-    let p = profile;
-    match width {
-        LaneWidth::W1 => fault_campaign_ppsfp_w::<1>(nl, faults, workload, out_port, c, mode, p),
-        LaneWidth::W2 => fault_campaign_ppsfp_w::<2>(nl, faults, workload, out_port, c, mode, p),
-        LaneWidth::W4 => fault_campaign_ppsfp_w::<4>(nl, faults, workload, out_port, c, mode, p),
-        LaneWidth::W8 => fault_campaign_ppsfp_w::<8>(nl, faults, workload, out_port, c, mode, p),
-    }
-}
-
-/// PPSFP fault campaign on a **sequential** design at the auto-picked width
-/// ([`LaneWidth::for_sites`]). See [`fault_campaign_seq_ppsfp_wide`].
-///
-/// # Panics
-///
-/// Panics on unknown ports or `cycles == 0`.
-///
-/// # Errors
-///
-/// Propagates scheduling errors.
-pub fn fault_campaign_seq_ppsfp(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    cycles: u64,
-) -> Result<FaultReport, NetlistError> {
-    fault_campaign_seq_ppsfp_wide(
-        nl,
-        faults,
-        workload,
-        out_port,
-        cycles,
-        LaneWidth::for_sites(faults.len()),
-    )
-}
-
-/// The previous fast campaign implementations: fault sites iterated
-/// **serially**, workload patterns packed 64 per word — the dual of the
-/// PPSFP packing. Kept as the mid-speed reference the differential suite
-/// cross-checks (PPSFP == pattern-parallel == oracle): the two fast paths
-/// fail differently, so agreement is strong evidence both are right.
-///
-/// Pattern packing wastes lanes whenever the workload holds fewer than 64
-/// patterns (a 40-sample campaign uses 40 of 64 lanes on every one of
-/// thousands of sites) and pays the per-site force/run/release overhead on
-/// every site; the PPSFP path amortizes both 64 sites at a time.
-pub mod pattern_parallel {
-    use super::{BitSlicedSimulator, FaultReport, FaultSite, Netlist, NetlistError, LANES};
-
-    /// Pattern-parallel, site-serial counterpart of
-    /// [`super::fault_campaign_comb_ppsfp`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the design is sequential or ports are unknown.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduling errors.
-    pub fn fault_campaign_comb(
-        nl: &Netlist,
-        faults: &[FaultSite],
-        workload: &[Vec<(String, i64)>],
-        out_port: &str,
-    ) -> Result<FaultReport, NetlistError> {
-        assert!(
-            crate::sim::is_combinational(nl),
-            "fault_campaign_comb requires a combinational design"
-        );
-        let mut sim: BitSlicedSimulator<'_> = BitSlicedSimulator::new(nl)?;
-        let golden = sim.run_workload_comb(workload, out_port);
-        let mut critical = 0usize;
-        for &fault in faults {
-            sim.force_net(fault.net, fault.stuck_at);
-            // Chunk-wise early exit: the first diverging 64-pattern chunk
-            // already proves the fault critical (settled values are pure
-            // functions of inputs, so skipping later chunks changes nothing).
-            let mut differs = false;
-            let mut done = 0;
-            for chunk in workload.chunks(LANES) {
-                if sim.run_workload_comb(chunk, out_port) != golden[done..done + chunk.len()] {
-                    differs = true;
-                    break;
-                }
-                done += chunk.len();
-            }
-            if differs {
-                critical += 1;
-            }
-            sim.release_net(fault.net);
-        }
-        Ok(FaultReport { critical, benign: faults.len() - critical, total: faults.len() })
-    }
-
-    /// Pattern-parallel, site-serial counterpart of
-    /// [`super::fault_campaign_seq_ppsfp`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown ports or `cycles == 0`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduling errors.
-    pub fn fault_campaign_seq(
-        nl: &Netlist,
-        faults: &[FaultSite],
-        workload: &[Vec<(String, i64)>],
-        out_port: &str,
-        cycles: u64,
-    ) -> Result<FaultReport, NetlistError> {
-        let mut sim: BitSlicedSimulator<'_> = BitSlicedSimulator::new(nl)?;
-        let golden = sim.run_workload_seq_reset(workload, cycles, out_port);
-        let mut critical = 0usize;
-        for &fault in faults {
-            sim.force_net(fault.net, fault.stuck_at);
-            // Chunk-wise early exit; the per-classification reset makes
-            // chunks independent, so later chunks cannot change the verdict.
-            let mut differs = false;
-            let mut done = 0;
-            for chunk in workload.chunks(LANES) {
-                if sim.run_workload_seq_reset(chunk, cycles, out_port)
-                    != golden[done..done + chunk.len()]
-                {
-                    differs = true;
-                    break;
-                }
-                done += chunk.len();
-            }
-            if differs {
-                critical += 1;
-            }
-            sim.release_net(fault.net);
-        }
-        Ok(FaultReport { critical, benign: faults.len() - critical, total: faults.len() })
-    }
 }
 
 /// The original rebuild-per-site campaign implementations.
@@ -1134,37 +821,39 @@ mod tests {
     }
 
     #[test]
-    fn ppsfp_campaigns_match_pattern_parallel_and_oracle() {
+    fn ppsfp_campaign_matches_oracle() {
         let nl = adder2();
         let sites = enumerate_fault_sites(&nl);
-        let ppsfp = fault_campaign_comb_ppsfp(&nl, &sites, &full_workload(), "s").unwrap();
-        let patpar =
-            pattern_parallel::fault_campaign_comb(&nl, &sites, &full_workload(), "s").unwrap();
+        let (ppsfp, _) = Campaign::default().run(&nl, &sites, &full_workload(), "s", 0).unwrap();
         let slow = oracle::fault_campaign_comb(&nl, &sites, &full_workload(), "s").unwrap();
-        assert_eq!(ppsfp, patpar);
         assert_eq!(ppsfp, slow);
+    }
+
+    #[test]
+    #[should_panic(expected = "combinational design")]
+    fn zero_cycle_campaign_on_a_sequential_design_panics() {
+        let mut b = Builder::new("shift");
+        let d = b.input("d");
+        let q = b.dff(d, false);
+        b.output("q", q);
+        let nl = b.finish();
+        let sites = enumerate_fault_sites(&nl);
+        let workload = vec![vec![("d".to_string(), 1)]];
+        let _ = Campaign::default().run(&nl, &sites, &workload, "q", 0);
     }
 
     #[test]
     fn profile_recorder_reconciles_with_cone_stats() {
         // The observability contract: a ProfileRecorder fed live through the
-        // `_obs` entry points must reproduce the campaign's exit-summary
+        // campaign's profile hook must reproduce the campaign's exit-summary
         // ConeStats exactly — chunk counts, cone/fallback split, and total
         // cell evaluations (golden run included).
         let nl = adder2();
         let sites = enumerate_fault_sites(&nl);
         for mode in [ConeMode::Auto, ConeMode::Always, ConeMode::Never] {
             let rec = pe_obs::ProfileRecorder::new();
-            let (report, stats) = fault_campaign_comb_ppsfp_wide_obs(
-                &nl,
-                &sites,
-                &full_workload(),
-                "s",
-                LaneWidth::W1,
-                mode,
-                Some(&rec),
-            )
-            .unwrap();
+            let campaign = Campaign { width: Some(LaneWidth::W1), cone: mode, profile: Some(&rec) };
+            let (report, stats) = campaign.run(&nl, &sites, &full_workload(), "s", 0).unwrap();
             let s = rec.snapshot();
             assert_eq!(s.chunks as usize, stats.chunks, "{mode:?}");
             assert_eq!(s.cone_chunks as usize, stats.cone_chunks, "{mode:?}");
@@ -1182,32 +871,17 @@ mod tests {
         let ssites = enumerate_fault_sites(&snl);
         let wl = vec![vec![("d".to_string(), 1i64)], vec![("d".to_string(), 0)]];
         let rec = pe_obs::ProfileRecorder::new();
-        let (sreport, sstats) = fault_campaign_seq_ppsfp_wide_obs(
-            &snl,
-            &ssites,
-            &wl,
-            "q",
-            3,
-            LaneWidth::W1,
-            ConeMode::Auto,
-            Some(&rec),
-        )
-        .unwrap();
+        let campaign =
+            Campaign { width: Some(LaneWidth::W1), cone: ConeMode::Auto, profile: Some(&rec) };
+        let (sreport, sstats) = campaign.run(&snl, &ssites, &wl, "q", 3).unwrap();
         let s = rec.snapshot();
         assert_eq!(s.chunks as usize, sstats.chunks);
         assert_eq!(s.campaign_cell_evals, sstats.cell_evals);
         assert_eq!(s.campaign_sites as usize, sreport.total);
         // And the verdicts are identical to the unprofiled path.
-        let (plain, _) = fault_campaign_seq_ppsfp_wide_opts(
-            &snl,
-            &ssites,
-            &wl,
-            "q",
-            3,
-            LaneWidth::W1,
-            ConeMode::Auto,
-        )
-        .unwrap();
+        let (plain, _) = Campaign { width: Some(LaneWidth::W1), ..Campaign::default() }
+            .run(&snl, &ssites, &wl, "q", 3)
+            .unwrap();
         assert_eq!(sreport, plain);
     }
 
@@ -1217,12 +891,10 @@ mod tests {
         // not depend on how many faulty machines share a sweep.
         let nl = adder2();
         let sites = enumerate_fault_sites(&nl);
-        let baseline =
-            fault_campaign_comb_ppsfp_wide(&nl, &sites, &full_workload(), "s", LaneWidth::W1)
-                .unwrap();
+        let at = |width| Campaign { width: Some(width), ..Campaign::default() };
+        let (baseline, _) = at(LaneWidth::W1).run(&nl, &sites, &full_workload(), "s", 0).unwrap();
         for width in LaneWidth::ALL {
-            let wide =
-                fault_campaign_comb_ppsfp_wide(&nl, &sites, &full_workload(), "s", width).unwrap();
+            let (wide, _) = at(width).run(&nl, &sites, &full_workload(), "s", 0).unwrap();
             assert_eq!(wide, baseline, "comb verdicts diverge at {width} words");
         }
 
@@ -1234,10 +906,9 @@ mod tests {
         let snl = b.finish();
         let ssites = enumerate_fault_sites(&snl);
         let wl: Vec<Vec<(String, i64)>> = (0..4).map(|v| vec![("x0".to_string(), v & 1)]).collect();
-        let sbase =
-            fault_campaign_seq_ppsfp_wide(&snl, &ssites, &wl, "q", 3, LaneWidth::W1).unwrap();
+        let (sbase, _) = at(LaneWidth::W1).run(&snl, &ssites, &wl, "q", 3).unwrap();
         for width in LaneWidth::ALL {
-            let wide = fault_campaign_seq_ppsfp_wide(&snl, &ssites, &wl, "q", 3, width).unwrap();
+            let (wide, _) = at(width).run(&snl, &ssites, &wl, "q", 3).unwrap();
             assert_eq!(wide, sbase, "seq verdicts diverge at {width} words");
         }
     }
@@ -1254,7 +925,7 @@ mod tests {
             assert_eq!(a.net, b.net, "paired sites share a net");
             assert_ne!(a.stuck_at, b.stuck_at);
         }
-        let report = fault_campaign_comb_ppsfp(&nl, &sites, &full_workload(), "s").unwrap();
+        let (report, _) = Campaign::default().run(&nl, &sites, &full_workload(), "s", 0).unwrap();
         assert_eq!(report.benign, 0, "adders are fully testable: {report:?}");
     }
 
@@ -1265,33 +936,18 @@ mod tests {
         let nl = adder2();
         let sites = enumerate_fault_sites(&nl);
         let wl = full_workload();
-        let (never, sn) = fault_campaign_comb_ppsfp_wide_opts(
-            &nl,
-            &sites,
-            &wl,
-            "s",
-            LaneWidth::W1,
-            ConeMode::Never,
-        )
-        .unwrap();
-        let (always, sa) = fault_campaign_comb_ppsfp_wide_opts(
-            &nl,
-            &sites,
-            &wl,
-            "s",
-            LaneWidth::W1,
-            ConeMode::Always,
-        )
-        .unwrap();
-        let (auto, _) = fault_campaign_comb_ppsfp_wide_opts(
-            &nl,
-            &sites,
-            &wl,
-            "s",
-            LaneWidth::W1,
-            ConeMode::Auto,
-        )
-        .unwrap();
+        let (never, sn) =
+            Campaign { width: Some(LaneWidth::W1), cone: ConeMode::Never, profile: None }
+                .run(&nl, &sites, &wl, "s", 0)
+                .unwrap();
+        let (always, sa) =
+            Campaign { width: Some(LaneWidth::W1), cone: ConeMode::Always, profile: None }
+                .run(&nl, &sites, &wl, "s", 0)
+                .unwrap();
+        let (auto, _) =
+            Campaign { width: Some(LaneWidth::W1), cone: ConeMode::Auto, profile: None }
+                .run(&nl, &sites, &wl, "s", 0)
+                .unwrap();
         assert_eq!(always, never, "cone-scheduled comb verdicts diverged");
         assert_eq!(auto, never, "auto comb verdicts diverged");
         assert_eq!(sn.cone_chunks, 0, "Never must not take the cone path");
@@ -1307,26 +963,14 @@ mod tests {
         let ssites = enumerate_fault_sites(&snl);
         let swl: Vec<Vec<(String, i64)>> =
             (0..4).map(|v| vec![("x0".to_string(), v & 1)]).collect();
-        let (snever, _) = fault_campaign_seq_ppsfp_wide_opts(
-            &snl,
-            &ssites,
-            &swl,
-            "q",
-            3,
-            LaneWidth::W1,
-            ConeMode::Never,
-        )
-        .unwrap();
-        let (salways, st) = fault_campaign_seq_ppsfp_wide_opts(
-            &snl,
-            &ssites,
-            &swl,
-            "q",
-            3,
-            LaneWidth::W1,
-            ConeMode::Always,
-        )
-        .unwrap();
+        let (snever, _) =
+            Campaign { width: Some(LaneWidth::W1), cone: ConeMode::Never, profile: None }
+                .run(&snl, &ssites, &swl, "q", 3)
+                .unwrap();
+        let (salways, st) =
+            Campaign { width: Some(LaneWidth::W1), cone: ConeMode::Always, profile: None }
+                .run(&snl, &ssites, &swl, "q", 3)
+                .unwrap();
         assert_eq!(salways, snever, "cone-scheduled seq verdicts diverged");
         assert_eq!(st.cone_chunks, st.chunks, "Always must run every chunk through cones");
         assert_eq!(
@@ -1367,24 +1011,14 @@ mod tests {
                 ]
             })
             .collect();
-        let (always, sa) = fault_campaign_comb_ppsfp_wide_opts(
-            &nl,
-            &tail,
-            &wl,
-            "o",
-            LaneWidth::W1,
-            ConeMode::Always,
-        )
-        .unwrap();
-        let (never, sn) = fault_campaign_comb_ppsfp_wide_opts(
-            &nl,
-            &tail,
-            &wl,
-            "o",
-            LaneWidth::W1,
-            ConeMode::Never,
-        )
-        .unwrap();
+        let (always, sa) =
+            Campaign { width: Some(LaneWidth::W1), cone: ConeMode::Always, profile: None }
+                .run(&nl, &tail, &wl, "o", 0)
+                .unwrap();
+        let (never, sn) =
+            Campaign { width: Some(LaneWidth::W1), cone: ConeMode::Never, profile: None }
+                .run(&nl, &tail, &wl, "o", 0)
+                .unwrap();
         assert_eq!(always, never);
         assert_eq!(always.critical, 1, "stuck-at-1 critical, stuck-at-0 masked by z=0");
         assert!(

@@ -47,7 +47,6 @@
 
 pub mod activity;
 pub mod bitslice;
-pub mod collapse;
 pub mod faults;
 pub mod sim;
 pub mod vcd;
@@ -55,9 +54,6 @@ pub mod warm;
 
 pub use activity::{ActivityReport, ToggleCounters};
 pub use bitslice::{BitSlicedSimulator, DetachedSlab, LaneWidth};
-pub use collapse::{
-    fault_campaign_comb_ppsfp_collapsed, fault_campaign_seq_ppsfp_collapsed, CollapseStats,
-};
-pub use faults::{ConeMode, ConeStats, FaultReport, FaultSite, FaultySimulator};
+pub use faults::{Campaign, ConeMode, ConeStats, FaultReport, FaultSite, FaultySimulator};
 pub use sim::{BatchMode, BatchResult, Schedule, Simulator};
 pub use warm::WarmSimulator;

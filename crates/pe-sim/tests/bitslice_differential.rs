@@ -28,8 +28,8 @@ use pe_ml::multiclass::{MulticlassScheme, SvmModel};
 use pe_ml::{QuantizedMlp, QuantizedSvm};
 use pe_netlist::testing::{random_netlist, RandomNetlistSpec};
 use pe_netlist::Netlist;
-use pe_sim::faults::{enumerate_fault_sites, fault_campaign_comb, fault_campaign_seq, oracle};
-use pe_sim::{BatchMode, BatchResult, LaneWidth, Simulator};
+use pe_sim::faults::{enumerate_fault_sites, oracle};
+use pe_sim::{BatchMode, BatchResult, Campaign, LaneWidth, Simulator};
 
 // ---- model / workload helpers -------------------------------------------
 
@@ -347,14 +347,14 @@ fn comb_fault_campaign_reproduces_oracle_per_site() {
         .map(|v| v.iter().enumerate().map(|(i, &b)| (format!("x{i}"), b)).collect())
         .collect();
     // Aggregate equality over every site...
-    let fast = fault_campaign_comb(&nl, &sites, &workload, "o0").unwrap();
+    let fast = Campaign::default().run(&nl, &sites, &workload, "o0", 0).unwrap().0;
     let slow = oracle::fault_campaign_comb(&nl, &sites, &workload, "o0").unwrap();
     assert_eq!(fast, slow);
     assert_eq!(fast.total, sites.len());
     // ...and per-site equality, so compensating double-miscounts cannot
     // hide behind matching totals.
     for &site in &sites {
-        let f = fault_campaign_comb(&nl, &[site], &workload, "o0").unwrap();
+        let f = Campaign::default().run(&nl, &[site], &workload, "o0", 0).unwrap().0;
         let s = oracle::fault_campaign_comb(&nl, &[site], &workload, "o0").unwrap();
         assert_eq!(f, s, "site {site:?} diverged from the rebuild oracle");
     }
@@ -368,11 +368,11 @@ fn seq_fault_campaign_reproduces_oracle_per_site() {
         .into_iter()
         .map(|v| v.iter().enumerate().map(|(i, &b)| (format!("x{i}"), b)).collect())
         .collect();
-    let fast = fault_campaign_seq(&nl, &sites, &workload, "o0", 4).unwrap();
+    let fast = Campaign::default().run(&nl, &sites, &workload, "o0", 4).unwrap().0;
     let slow = oracle::fault_campaign_seq(&nl, &sites, &workload, "o0", 4).unwrap();
     assert_eq!(fast, slow);
     for &site in &sites {
-        let f = fault_campaign_seq(&nl, &[site], &workload, "o0", 4).unwrap();
+        let f = Campaign::default().run(&nl, &[site], &workload, "o0", 4).unwrap().0;
         let s = oracle::fault_campaign_seq(&nl, &[site], &workload, "o0", 4).unwrap();
         assert_eq!(f, s, "site {site:?} diverged from the rebuild oracle");
     }
@@ -393,7 +393,7 @@ fn seq_fault_campaign_reproduces_oracle_on_the_paper_circuit() {
         })
         .collect();
     let n = q.num_classes() as u64;
-    let fast = fault_campaign_seq(&nl, &sites, &workload, "class", n).unwrap();
+    let fast = Campaign::default().run(&nl, &sites, &workload, "class", n).unwrap().0;
     let slow = oracle::fault_campaign_seq(&nl, &sites, &workload, "class", n).unwrap();
     assert_eq!(fast, slow);
 }

@@ -1,12 +1,11 @@
 //! Differential lockdown of the PPSFP fault-parallel campaigns.
 //!
-//! The PPSFP path packs one fault *site* per bit-sliced lane
+//! [`Campaign::run`] packs one fault *site* per bit-sliced lane
 //! (`force_lanes`), drives every workload pattern broadcast across the
 //! lanes, and accumulates a per-lane divergence mask — 64 faulty machines
 //! per word. These tests assert the campaign reports are **identical, site
-//! for site**, to both references: the rebuild-per-site serial
-//! [`oracle`](pe_sim::faults::oracle) and the previous
-//! [`pattern_parallel`](pe_sim::faults::pattern_parallel) site-serial path.
+//! for site**, to the rebuild-per-site serial
+//! [`oracle`](pe_sim::faults::oracle).
 //! Coverage spans every generated design style, seeded-random netlists with
 //! registered feedback, ragged site counts around the 64-lane word boundary
 //! (1/63/64/65), and words whose lanes mix faults on register-driving nets
@@ -29,12 +28,8 @@ use pe_ml::multiclass::{MulticlassScheme, SvmModel};
 use pe_ml::{QuantizedMlp, QuantizedSvm};
 use pe_netlist::testing::{random_netlist, RandomNetlistSpec};
 use pe_netlist::{Driver, Netlist};
-use pe_sim::faults::{
-    enumerate_fault_sites, fault_campaign_comb_ppsfp, fault_campaign_comb_ppsfp_wide,
-    fault_campaign_comb_ppsfp_wide_opts, fault_campaign_seq_ppsfp, fault_campaign_seq_ppsfp_wide,
-    fault_campaign_seq_ppsfp_wide_opts, oracle, pattern_parallel, FaultSite,
-};
-use pe_sim::{ConeMode, LaneWidth};
+use pe_sim::faults::{enumerate_fault_sites, oracle, FaultSite};
+use pe_sim::{Campaign, ConeMode, LaneWidth};
 
 // ---- model / workload helpers -------------------------------------------
 
@@ -91,21 +86,19 @@ fn fuzz_workload(inputs: usize, count: usize, seed: u64) -> Vec<Vec<(String, i64
         .collect()
 }
 
-/// Asserts the PPSFP combinational campaign agrees with both references,
-/// in aggregate and site for site.
+/// Asserts the PPSFP combinational campaign agrees with the oracle, in
+/// aggregate and site for site.
 fn assert_comb_agrees(
     nl: &Netlist,
     sites: &[FaultSite],
     workload: &[Vec<(String, i64)>],
     out: &str,
 ) {
-    let ppsfp = fault_campaign_comb_ppsfp(nl, sites, workload, out).unwrap();
-    let patpar = pattern_parallel::fault_campaign_comb(nl, sites, workload, out).unwrap();
+    let ppsfp = Campaign::default().run(nl, sites, workload, out, 0).unwrap().0;
     let slow = oracle::fault_campaign_comb(nl, sites, workload, out).unwrap();
-    assert_eq!(ppsfp, patpar, "PPSFP vs pattern-parallel on {}", nl.name());
     assert_eq!(ppsfp, slow, "PPSFP vs oracle on {}", nl.name());
     for &site in sites {
-        let f = fault_campaign_comb_ppsfp(nl, &[site], workload, out).unwrap();
+        let f = Campaign::default().run(nl, &[site], workload, out, 0).unwrap().0;
         let s = oracle::fault_campaign_comb(nl, &[site], workload, out).unwrap();
         assert_eq!(f, s, "site {site:?} diverged from the rebuild oracle on {}", nl.name());
     }
@@ -119,13 +112,11 @@ fn assert_seq_agrees(
     out: &str,
     cycles: u64,
 ) {
-    let ppsfp = fault_campaign_seq_ppsfp(nl, sites, workload, out, cycles).unwrap();
-    let patpar = pattern_parallel::fault_campaign_seq(nl, sites, workload, out, cycles).unwrap();
+    let ppsfp = Campaign::default().run(nl, sites, workload, out, cycles).unwrap().0;
     let slow = oracle::fault_campaign_seq(nl, sites, workload, out, cycles).unwrap();
-    assert_eq!(ppsfp, patpar, "PPSFP vs pattern-parallel on {}", nl.name());
     assert_eq!(ppsfp, slow, "PPSFP vs oracle on {}", nl.name());
     for &site in sites {
-        let f = fault_campaign_seq_ppsfp(nl, &[site], workload, out, cycles).unwrap();
+        let f = Campaign::default().run(nl, &[site], workload, out, cycles).unwrap().0;
         let s = oracle::fault_campaign_seq(nl, &[site], workload, out, cycles).unwrap();
         assert_eq!(f, s, "site {site:?} diverged from the rebuild oracle on {}", nl.name());
     }
@@ -162,13 +153,13 @@ fn ragged_site_counts_agree() {
     let workload = fuzz_workload(5, 10, 21);
     for count in [1usize, 63, 64, 65] {
         let sites = &all[..count];
-        let ppsfp = fault_campaign_seq_ppsfp(&nl, sites, &workload, "o0", 2).unwrap();
+        let ppsfp = Campaign::default().run(&nl, sites, &workload, "o0", 2).unwrap().0;
         let slow = oracle::fault_campaign_seq(&nl, sites, &workload, "o0", 2).unwrap();
         assert_eq!(ppsfp, slow, "{count} sites diverged");
         assert_eq!(ppsfp.total, count);
     }
     // Zero sites: an empty report, no simulation.
-    let empty = fault_campaign_seq_ppsfp(&nl, &[], &workload, "o0", 2).unwrap();
+    let empty = Campaign::default().run(&nl, &[], &workload, "o0", 2).unwrap().0;
     assert_eq!(empty.total, 0);
     assert_eq!(empty.criticality(), 0.0);
 }
@@ -195,12 +186,16 @@ fn every_width_matches_w1_on_ragged_site_counts() {
     let workload = fuzz_workload(6, 6, 91);
     for count in WIDTH_BOUNDARY_COUNTS {
         let sites = &all[..count];
-        let w1 =
-            fault_campaign_seq_ppsfp_wide(&nl, sites, &workload, "o0", 2, LaneWidth::W1).unwrap();
+        let w1 = Campaign { width: Some(LaneWidth::W1), ..Campaign::default() }
+            .run(&nl, sites, &workload, "o0", 2)
+            .unwrap()
+            .0;
         assert_eq!(w1.total, count);
         for width in [LaneWidth::W2, LaneWidth::W4, LaneWidth::W8] {
-            let wide =
-                fault_campaign_seq_ppsfp_wide(&nl, sites, &workload, "o0", 2, width).unwrap();
+            let wide = Campaign { width: Some(width), ..Campaign::default() }
+                .run(&nl, sites, &workload, "o0", 2)
+                .unwrap()
+                .0;
             assert_eq!(wide, w1, "{count} sites diverged at W={width}");
         }
     }
@@ -220,7 +215,10 @@ fn every_width_matches_the_oracle_on_a_full_comb_slab() {
     let workload = fuzz_workload(6, 10, 17);
     let slow = oracle::fault_campaign_comb(&nl, sites, &workload, "o0").unwrap();
     for width in LaneWidth::ALL {
-        let wide = fault_campaign_comb_ppsfp_wide(&nl, sites, &workload, "o0", width).unwrap();
+        let wide = Campaign { width: Some(width), ..Campaign::default() }
+            .run(&nl, sites, &workload, "o0", 0)
+            .unwrap()
+            .0;
         assert_eq!(wide, slow, "verdicts diverged from the oracle at W={width}");
     }
 }
@@ -281,7 +279,7 @@ fn mlp_style_agrees() {
             q.quantize_input(x).iter().enumerate().map(|(i, &v)| (format!("x{i}"), v)).collect()
         })
         .collect();
-    let ppsfp = fault_campaign_comb_ppsfp(&nl, &sites, &workload, "class").unwrap();
+    let ppsfp = Campaign::default().run(&nl, &sites, &workload, "class", 0).unwrap().0;
     let slow = oracle::fault_campaign_comb(&nl, &sites, &workload, "class").unwrap();
     assert_eq!(ppsfp, slow);
 }
@@ -295,10 +293,8 @@ fn sequential_svm_style_agrees() {
     let sites: Vec<FaultSite> = enumerate_fault_sites(&nl).into_iter().step_by(97).collect();
     let workload = svm_workload(&q, &test, 8);
     let n = q.num_classes() as u64;
-    let ppsfp = fault_campaign_seq_ppsfp(&nl, &sites, &workload, "class", n).unwrap();
-    let patpar = pattern_parallel::fault_campaign_seq(&nl, &sites, &workload, "class", n).unwrap();
+    let ppsfp = Campaign::default().run(&nl, &sites, &workload, "class", n).unwrap().0;
     let slow = oracle::fault_campaign_seq(&nl, &sites, &workload, "class", n).unwrap();
-    assert_eq!(ppsfp, patpar);
     assert_eq!(ppsfp, slow);
 }
 
@@ -322,13 +318,13 @@ fn cone_scheduled_campaigns_agree_with_references_at_every_width() {
 
     for width in LaneWidth::ALL {
         for mode in [ConeMode::Always, ConeMode::Never, ConeMode::Auto] {
-            let (comb, cs) =
-                fault_campaign_comb_ppsfp_wide_opts(&cnl, &csites, &cwl, "o0", width, mode)
-                    .unwrap();
+            let (comb, cs) = Campaign { width: Some(width), cone: mode, profile: None }
+                .run(&cnl, &csites, &cwl, "o0", 0)
+                .unwrap();
             assert_eq!(comb, coracle, "comb {mode:?} at W={width} diverged from the oracle");
-            let (seq, ss) =
-                fault_campaign_seq_ppsfp_wide_opts(&snl, &ssites, &swl, "o1", 3, width, mode)
-                    .unwrap();
+            let (seq, ss) = Campaign { width: Some(width), cone: mode, profile: None }
+                .run(&snl, &ssites, &swl, "o1", 3)
+                .unwrap();
             assert_eq!(seq, soracle, "seq {mode:?} at W={width} diverged from the oracle");
             match mode {
                 ConeMode::Always => {
@@ -358,26 +354,12 @@ fn cone_scheduled_ragged_site_counts_agree() {
     for count in [1usize, 63, 64, 65, 511, 513] {
         let sites = &all[..count];
         let width = if count > 64 { LaneWidth::W8 } else { LaneWidth::W1 };
-        let (cone, stats) = fault_campaign_seq_ppsfp_wide_opts(
-            &nl,
-            sites,
-            &workload,
-            "o0",
-            2,
-            width,
-            ConeMode::Always,
-        )
-        .unwrap();
-        let (dense, _) = fault_campaign_seq_ppsfp_wide_opts(
-            &nl,
-            sites,
-            &workload,
-            "o0",
-            2,
-            width,
-            ConeMode::Never,
-        )
-        .unwrap();
+        let (cone, stats) = Campaign { width: Some(width), cone: ConeMode::Always, profile: None }
+            .run(&nl, sites, &workload, "o0", 2)
+            .unwrap();
+        let (dense, _) = Campaign { width: Some(width), cone: ConeMode::Never, profile: None }
+            .run(&nl, sites, &workload, "o0", 2)
+            .unwrap();
         assert_eq!(cone, dense, "{count} sites diverged under cone scheduling");
         assert_eq!(cone.total, count);
         assert_eq!(stats.cone_chunks, stats.chunks, "Always must run every chunk through cones");
@@ -401,28 +383,14 @@ fn cone_scheduled_mixed_register_and_comb_sites_agree() {
     });
     assert!(sites.len() > 64, "the first word must mix register and comb sites");
     let workload = fuzz_workload(5, 10, 33);
-    let (whole, _) = fault_campaign_seq_ppsfp_wide_opts(
-        &nl,
-        &sites,
-        &workload,
-        "o2",
-        2,
-        LaneWidth::W1,
-        ConeMode::Always,
-    )
-    .unwrap();
+    let (whole, _) = Campaign { width: Some(LaneWidth::W1), cone: ConeMode::Always, profile: None }
+        .run(&nl, &sites, &workload, "o2", 2)
+        .unwrap();
     assert_eq!(whole, oracle::fault_campaign_seq(&nl, &sites, &workload, "o2", 2).unwrap());
     for &site in &sites {
-        let (f, _) = fault_campaign_seq_ppsfp_wide_opts(
-            &nl,
-            &[site],
-            &workload,
-            "o2",
-            2,
-            LaneWidth::W1,
-            ConeMode::Always,
-        )
-        .unwrap();
+        let (f, _) = Campaign { width: Some(LaneWidth::W1), cone: ConeMode::Always, profile: None }
+            .run(&nl, &[site], &workload, "o2", 2)
+            .unwrap();
         let s = oracle::fault_campaign_seq(&nl, &[site], &workload, "o2", 2).unwrap();
         assert_eq!(f, s, "site {site:?} diverged from the rebuild oracle under cone scheduling");
     }
@@ -439,10 +407,10 @@ fn ppsfp_chunks_do_not_contaminate_each_other() {
     let sites = enumerate_fault_sites(&nl);
     assert!(sites.len() > 128, "need at least three chunks");
     let workload = fuzz_workload(5, 8, 55);
-    let whole = fault_campaign_seq_ppsfp(&nl, &sites, &workload, "o0", 2).unwrap();
+    let whole = Campaign::default().run(&nl, &sites, &workload, "o0", 2).unwrap().0;
     let mut critical = 0;
     for &site in &sites {
-        critical += fault_campaign_seq_ppsfp(&nl, &[site], &workload, "o0", 2).unwrap().critical;
+        critical += Campaign::default().run(&nl, &[site], &workload, "o0", 2).unwrap().0.critical;
     }
     assert_eq!(whole.critical, critical);
 }
