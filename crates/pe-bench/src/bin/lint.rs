@@ -1,5 +1,5 @@
 //! Static analysis driver: lints any Table-I design (or a structural-Verilog
-//! file) and reports its stuck-at fault-collapsing statistics.
+//! file) and prints its diagnostics.
 //!
 //! Usage: `cargo run --release -p pe-bench --bin lint --
 //!         [profile:style ...] [--all] [--verilog FILE]`
@@ -14,15 +14,14 @@
 //! diagnostic — the CI gate that keeps generator regressions out.
 
 use pe_core::pipeline::{build_netlist, prepare_model, RunOptions};
-use pe_lint::{collapse_fault_sites, lint_netlist, Severity};
+use pe_lint::{lint_netlist, Severity};
 use pe_netlist::Netlist;
 use pe_serve::registry::ModelKey;
 
-/// Lints one netlist, prints its report and collapse statistics, and
-/// returns whether it carried an Error.
+/// Lints one netlist, prints its report, and returns whether it carried an
+/// Error.
 fn lint_one(label: &str, nl: &Netlist) -> bool {
     let report = lint_netlist(nl);
-    let collapsed = collapse_fault_sites(nl);
     println!(
         "[{label}] {} cells, {} nets: {} diagnostics ({} error, {} warn, {} info)",
         nl.num_cells(),
@@ -35,16 +34,6 @@ fn lint_one(label: &str, nl: &Netlist) -> bool {
     if !report.is_empty() {
         print!("{report}");
     }
-    println!(
-        "  fault collapsing: {} sites -> {} simulated ({} equivalence classes, \
-         {} statically benign; {:.1} % reduction, {} more dominance-prunable)",
-        collapsed.num_sites(),
-        collapsed.num_simulated(),
-        collapsed.num_representatives(),
-        collapsed.static_benign.len(),
-        100.0 * collapsed.reduction(),
-        collapsed.dominance_prunable(),
-    );
     report.has_errors()
 }
 

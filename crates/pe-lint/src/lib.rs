@@ -1,5 +1,5 @@
 //! Static netlist analysis for printed bespoke classifiers: structural
-//! lints, constant propagation, and stuck-at fault collapsing.
+//! lints and constant propagation.
 //!
 //! This crate is the design-rule checker of the workspace. It consumes a
 //! [`pe_netlist::Netlist`] — whether built by the generators, parsed back
@@ -19,11 +19,6 @@
 //!   constant gate outputs, stuck output ports, registers that never leave
 //!   their power-on value, foldable constant-fed gates.
 //!
-//! The [`collapse`] module reuses the same structural view for **fault
-//! collapsing**: equivalence classes (and a reported dominance relation)
-//! over stuck-at sites, plus the observability pruning that proves whole
-//! classes benign; `lint --all` reports the resulting site reduction.
-//!
 //! # Example
 //!
 //! ```
@@ -39,12 +34,10 @@
 //! assert!(!report.has_errors());
 //! ```
 
-pub mod collapse;
 pub mod constprop;
 pub mod diag;
 pub mod passes;
 
-pub use collapse::{collapse_fault_sites, collapse_sites, CollapsedSites, StuckAt};
 pub use diag::{Diagnostic, Lint, LintReport, Severity};
 
 use pe_netlist::Netlist;

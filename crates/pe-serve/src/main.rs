@@ -5,7 +5,7 @@
 //! pe-serve [--addr HOST:PORT] [--mode gate|int|verify] [--batch-max N]
 //!          [--width 1|2|4|8] [--events] [--deadline-us N] [--workers N]
 //!          [--capacity N] [--warm key,key,... | --warm-grid]
-//!          [--cold] [--weight key=W ...] [--max-conns N]
+//!          [--weight key=W ...] [--max-conns N]
 //!          [--trace-capacity N] [--trace-slow-us N] [--no-sim-profile]
 //! ```
 //!
@@ -33,14 +33,12 @@ fn usage() -> ! {
         "usage: pe-serve [--addr HOST:PORT] [--mode gate|int|verify] [--batch-max N]\n\
          \x20               [--width 1|2|4|8] [--events] [--deadline-us N] [--workers N]\n\
          \x20               [--capacity N] [--warm key,key,... | --warm-grid]\n\
-         \x20               [--cold] [--weight key=W ...] [--max-conns N]\n\
+         \x20               [--weight key=W ...] [--max-conns N]\n\
          \x20               [--trace-capacity N] [--trace-slow-us N] [--no-sim-profile]\n\
          --width forces the bit-sliced slab width in words (64-512 lanes per\n\
          sweep; lane counts accepted); default: per-model auto\n\
          --events enables event-driven sweeps (dirty-cell worklist; identical\n\
          predictions, fewer cell evaluations on low-activity batches)\n\
-         --cold disables warm per-worker simulators (every batch stamps a\n\
-         fresh all-dirty engine; the pre-affinity behavior, for comparison)\n\
          --weight sets a model's weighted-fair admission share (repeatable;\n\
          e.g. --weight cardio:seq=2 gives it twice the default share)\n\
          --max-conns caps concurrent connections (default 16384)\n\
@@ -104,7 +102,6 @@ fn parse_args() -> Result<Args, String> {
                 args.cfg.trace_slow = Duration::from_micros(us);
             }
             "--no-sim-profile" => args.cfg.sim_profile = false,
-            "--cold" => args.cfg.warm = false,
             "--weight" => {
                 let spec = value("--weight")?;
                 let (key, w) =
@@ -162,7 +159,7 @@ fn main() -> ExitCode {
     let width = cfg.lane_width.map_or("auto".to_owned(), |w| w.to_string());
     eprintln!(
         "pe-serve listening on {} (mode {:?}, batch_max {}, width {}, sweeps {}, deadline {:?}, \
-         workers {}, {} engines)",
+         workers {})",
         server.local_addr(),
         cfg.mode,
         cfg.batch_max,
@@ -170,7 +167,6 @@ fn main() -> ExitCode {
         if cfg.event_driven { "event-driven" } else { "full" },
         cfg.batch_deadline,
         cfg.workers,
-        if cfg.warm { "warm" } else { "cold" }
     );
     let connections = server.run();
     eprintln!("pe-serve: clean shutdown after {connections} connection(s)");

@@ -140,17 +140,18 @@ pub struct ModelEntry {
     pub prepared: Prepared,
     /// The elaborated bespoke netlist.
     pub netlist: pe_netlist::Netlist,
-    /// The netlist's topological schedule, computed once; workers stamp out
-    /// per-batch simulators from it without re-levelizing.
+    /// The netlist's topological schedule, computed once; each worker builds
+    /// its warm simulator for the model from it without re-levelizing.
     pub schedule: Schedule,
     /// `run_batch` cycles per vector: the class count for the sequential
     /// style, 0 (combinational settle) for the parallel styles.
     pub cycles_per_vector: u64,
     /// The bit-sliced slab width batches over this model run at: the
     /// registry's [`RunOptions::lane_width`] override when set, else the
-    /// per-model default ([`LaneWidth::auto_for_netlist`] — printed
-    /// classifiers are small enough that this is almost always the full
-    /// 8-word slab, 512 lanes per sweep).
+    /// per-model default ([`LaneWidth::auto_for_netlist`], 64–512 lanes
+    /// per sweep). Under its 512 KiB budget the 20 Table-I models spread
+    /// over every width: W=8 for 5, W=4 for 6, W=2 for 4 and W=1 for 5
+    /// (`dermatology:par/approx/mlp`, `pendigits:par/approx`).
     pub lane_width: LaneWidth,
 }
 

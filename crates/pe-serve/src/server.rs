@@ -16,7 +16,8 @@
 //!    peers are reaped even when the server is not willing to read from
 //!    them — and reads readable ones into a per-connection buffer,
 //! 3. **parses** complete lines through a partial-line state machine
-//!    (bytes accumulate across passes; lines longer than
+//!    whenever the connection may take more requests, whether or not its
+//!    socket had new bytes (bytes accumulate across passes; lines longer than
 //!    [`protocol::MAX_LINE`](crate::protocol::MAX_LINE) are answered with
 //!    an error and discarded up to the next newline),
 //! 4. **pumps** each connection's pipelined reply FIFO — classify requests
@@ -156,27 +157,31 @@ impl Conn {
                 }
             }
         }
+        let accepting = !draining && self.parked.is_none() && self.inflight.len() < PIPELINE_MAX;
         if !self.read_closed {
             match read_readiness(&self.stream) {
                 Readiness::Readable => {
                     *ready_now += 1;
-                    let can_read =
-                        !draining && self.parked.is_none() && self.inflight.len() < PIPELINE_MAX;
-                    if can_read {
+                    if accepting {
                         progressed |= self.fill_rbuf();
-                        progressed |= self.parse_lines(service, fe, shutdown_req);
                     }
                 }
                 Readiness::Closed => {
-                    // Abrupt disconnect: a partial line dies with the peer.
+                    // The peer hung up. Requests it completed are still
+                    // answered (a half-closed client reads its replies);
+                    // a partial line dies with the peer.
                     self.read_closed = true;
-                    self.rbuf.clear();
-                    self.discarding = false;
-                    self.parked = None;
+                    let complete = self.rbuf.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+                    self.rbuf.truncate(complete);
                     progressed = true;
                 }
                 Readiness::NotReady => {}
             }
+        }
+        // Parse whatever is buffered, not only what this pass read: lines
+        // held back by the pipeline cap or a park arrive in no later read.
+        if accepting && !self.rbuf.is_empty() {
+            progressed |= self.parse_lines(service, fe, shutdown_req);
         }
         progressed |= self.pump_replies();
         progressed |= self.flush();
@@ -370,10 +375,10 @@ impl Conn {
         }
         let idle =
             self.inflight.is_empty() && self.parked.is_none() && self.wpos == self.wbuf.len();
-        // After EOF the pipeline still drains (half-closed clients read
-        // their replies); during shutdown every connection closes once its
-        // pipeline is empty.
-        idle && (self.read_closed || draining)
+        // After EOF the pipeline still drains, complete lines left in
+        // `rbuf` included (half-closed clients read their replies); during
+        // shutdown every connection closes once its pipeline is empty.
+        idle && (draining || (self.read_closed && !self.rbuf.contains(&b'\n')))
     }
 }
 

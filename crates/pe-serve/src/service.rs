@@ -29,8 +29,6 @@
 //! *soft*: a non-owner steals a key when its batch is full (at saturation
 //! warmness matters less than idle workers), when the owner has let the
 //! oldest request sit past **twice** the deadline, or during shutdown.
-//! [`ServiceConfig::warm`] (default on) can be turned off to reproduce the
-//! old fresh-simulator-per-batch behavior for comparison.
 //!
 //! # Weighted-fair admission
 //!
@@ -104,8 +102,10 @@ pub struct ServiceConfig {
     /// the slab's `64 * W` lane capacity run as several sweeps inside
     /// **one** call, amortizing simulator construction further; 1
     /// degenerates to one-request-per-`run_batch` serving (the loadgen
-    /// baseline). At the default 8-word slab a batch of 512 is a single
-    /// sweep — no splitting.
+    /// baseline). One sweep holds the model's `64 * W` lanes, and the
+    /// auto-picked `W` ranges over 1, 2, 4 and 8 across the Table-I models
+    /// (see [`ModelEntry::lane_width`](crate::registry::ModelEntry::lane_width)):
+    /// a batch of 512 is a single sweep at W=8 but eight at W=1.
     pub batch_max: usize,
     /// Bit-sliced slab width override. `None` (the default) uses each
     /// model's auto-picked width ([`ModelEntry::lane_width`]); `Some`
@@ -141,11 +141,6 @@ pub struct ServiceConfig {
     /// counts — the `pe_sim_*` series of the `metrics` exposition). Off
     /// skips every phase clock read inside `run_batch`.
     pub sim_profile: bool,
-    /// Keep a warm [`pe_sim::WarmSimulator`] per (worker, key) instead of
-    /// stamping out a fresh all-dirty simulator per batch (the default).
-    /// Off reproduces the old cold path — useful for measuring exactly what
-    /// warmth buys (`loadgen --cold`).
-    pub warm: bool,
     /// Weighted-fair admission weights per key (default 1.0 for keys not
     /// listed). A key with weight 2.0 accrues virtual time half as fast and
     /// therefore gets twice the service share under contention.
@@ -168,7 +163,6 @@ impl Default for ServiceConfig {
             trace_capacity: 256,
             trace_slow: Duration::ZERO,
             sim_profile: true,
-            warm: true,
             weights: Vec::new(),
         }
     }
@@ -725,34 +719,11 @@ fn run_one_batch(
             (int_preds, 0, 0, 0)
         }
         ServeMode::Gate | ServeMode::Verify => {
-            let (lane_words, result);
-            if shared.cfg.warm {
-                // The warm path: reuse (or seed, first time) this worker's
-                // long-lived slab engine for the key. Reattach is a pure
-                // move — the per-batch setup cost the cold path pays in
-                // simulator construction is gone, and the event-driven
-                // worklist keeps its clean state from the previous batch.
-                let warm = warm_sims.entry(key).or_insert_with(|| {
-                    let mut sim = entry.simulator();
-                    if let Some(w) = shared.cfg.lane_width {
-                        sim.set_lane_width(w);
-                    }
-                    sim.set_event_driven(shared.cfg.event_driven);
-                    if shared.cfg.sim_profile {
-                        let profile: Arc<dyn SimProfile> = Arc::clone(shard.profile()) as _;
-                        sim.set_profile(Some(profile));
-                    }
-                    WarmEntry { entry: Arc::clone(&entry), sim: sim.warm() }
-                });
-                lane_words = warm.sim.lane_width().words();
-                setup_end = Instant::now();
-                result = warm.sim.run_batch(
-                    &warm.entry.netlist,
-                    &vectors,
-                    entry.cycles_per_vector,
-                    "class",
-                );
-            } else {
+            // Reuse (or seed, first time) this worker's long-lived slab
+            // engine for the key. Reattach is a pure move, and the
+            // event-driven worklist keeps its clean state from the previous
+            // batch.
+            let warm = warm_sims.entry(key).or_insert_with(|| {
                 let mut sim = entry.simulator();
                 if let Some(w) = shared.cfg.lane_width {
                     sim.set_lane_width(w);
@@ -762,10 +733,12 @@ fn run_one_batch(
                     let profile: Arc<dyn SimProfile> = Arc::clone(shard.profile()) as _;
                     sim.set_profile(Some(profile));
                 }
-                lane_words = sim.lane_width().words();
-                setup_end = Instant::now();
-                result = sim.run_batch(&vectors, entry.cycles_per_vector, "class");
-            }
+                WarmEntry { entry: Arc::clone(&entry), sim: sim.warm() }
+            });
+            let lane_words = warm.sim.lane_width().words();
+            setup_end = Instant::now();
+            let result =
+                warm.sim.run_batch(&warm.entry.netlist, &vectors, entry.cycles_per_vector, "class");
             let sweep_end = Instant::now();
             sweep = sweep_end.saturating_duration_since(setup_end);
             let gate: Vec<usize> = result.outputs.iter().map(|&v| v as usize).collect();
@@ -1096,13 +1069,11 @@ mod tests {
     }
 
     #[test]
-    fn warm_and_cold_serving_agree_with_the_golden_model() {
+    fn dense_and_event_driven_serving_agree_with_the_golden_model() {
         // The same repeated low-activity stream through a warm event-driven
-        // service and a cold dense one: replies identical to the integer
-        // model on both, zero verify mismatches, and the warm service must
-        // have actually reused its engines (fewer sim batches than served
-        // requests is implied by coalescing; the real warm pin — identical
-        // toggle accounting — lives in the serving_equivalence suite).
+        // service and a warm dense one: replies identical to the integer
+        // model on both and zero verify mismatches (the bit-identical toggle
+        // accounting pin lives in the serving_equivalence suite).
         let registry = test_registry();
         let key = cardio_seq();
         let entry = registry.get(key);
@@ -1110,29 +1081,28 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..96).map(|_| base.clone()).collect();
         let want: Vec<_> =
             xs.iter().map(|x| Ok(entry.predict_int(&entry.quantize_input(x)))).collect();
-        for (warm, event_driven) in [(true, true), (true, false), (false, false)] {
+        for event_driven in [true, false] {
             let svc = Service::start(
                 Arc::clone(&registry),
                 ServiceConfig {
                     mode: ServeMode::Verify,
-                    warm,
                     event_driven,
                     workers: 1,
                     batch_deadline: Duration::from_millis(1),
                     ..ServiceConfig::default()
                 },
             );
-            // Several rounds so the warm path actually carries state across
-            // run_batch calls.
+            // Several rounds so the warm engine actually carries state
+            // across run_batch calls.
             for round in 0..3 {
                 assert_eq!(
                     svc.classify_batch(key, &xs),
                     want,
-                    "warm={warm} events={event_driven} round {round}"
+                    "events={event_driven} round {round}"
                 );
             }
             let m = svc.metrics();
-            assert_eq!(m.verify_mismatches, 0, "warm={warm} events={event_driven}");
+            assert_eq!(m.verify_mismatches, 0, "events={event_driven}");
             assert_eq!(m.served, 3 * 96);
             svc.shutdown();
         }

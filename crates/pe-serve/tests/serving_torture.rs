@@ -3,12 +3,13 @@
 //!
 //! Every test drives a real [`pe_serve::Server`] over loopback with traffic
 //! shaped to break line framing — writes split at every byte boundary,
-//! oversized lines, interleaved pipelined bursts, invalid UTF-8, and abrupt
-//! mid-request disconnects — and asserts the contract the front end
-//! promises: no hangs, no leaked connection slots (checked through the
-//! `pe_conn_open` gauge from a live observer connection), and a clean
-//! one-line error reply for every malformed request with the connection
-//! still usable afterwards.
+//! oversized lines, interleaved pipelined bursts, bursts deeper than the
+//! per-connection pipeline cap or held back by a full service queue,
+//! invalid UTF-8, and abrupt mid-request disconnects — and asserts the
+//! contract the front end promises: no hangs, no lost requests, no leaked
+//! connection slots (checked through the `pe_conn_open` gauge from a live
+//! observer connection), and a clean one-line error reply for every
+//! malformed request with the connection still usable afterwards.
 //!
 //! Models run in [`ServeMode::Int`]: framing torture is about bytes, not
 //! gates, and the integer path keeps the suite fast. The `cardio:seq`
@@ -44,10 +45,11 @@ struct Harness {
 }
 
 fn start() -> Harness {
-    let service = Service::start(
-        registry(),
-        ServiceConfig { mode: ServeMode::Int, ..ServiceConfig::default() },
-    );
+    start_with(ServiceConfig { mode: ServeMode::Int, ..ServiceConfig::default() })
+}
+
+fn start_with(cfg: ServiceConfig) -> Harness {
+    let service = Service::start(registry(), cfg);
     let server = Server::bind("127.0.0.1:0", Arc::clone(&service)).unwrap();
     let addr = server.local_addr();
     Harness { addr, service, thread: Some(std::thread::spawn(move || server.run())) }
@@ -297,4 +299,78 @@ fn a_half_open_connection_with_a_buffered_request_still_gets_served_state_draine
     reader.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty(), "unexpected trailing bytes {rest:?}");
     wait_conn_open(h.addr, 1);
+}
+
+/// Writes `burst` in one call, reads until `n` reply lines arrived or
+/// `within` passed, and returns the replies read. With `half_close` the
+/// client shuts down its write half once the first reply is in: the server
+/// has read the burst by then, so it meets the EOF on a later pass.
+fn burst_replies(
+    addr: std::net::SocketAddr,
+    burst: &str,
+    half_close: bool,
+    n: usize,
+    within: Duration,
+) -> Vec<String> {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.write_all(burst.as_bytes()).unwrap();
+    let deadline = Instant::now() + within;
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let mut replies = Vec::new();
+    while replies.len() < n {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
+        }
+        reader.get_ref().set_read_timeout(Some(left)).unwrap();
+        let mut line = String::new();
+        match reader.read_line(&mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => replies.push(line.trim_end().to_owned()),
+        }
+        if half_close && replies.len() == 1 {
+            conn.shutdown(std::net::Shutdown::Write).unwrap();
+        }
+    }
+    replies
+}
+
+#[test]
+fn a_burst_deeper_than_the_pipeline_cap_is_fully_answered() {
+    let h = start();
+    // 600 requests in one write: the server stops parsing at its
+    // per-connection cap of 256 unanswered requests, and the rest sit in
+    // its read buffer with no further bytes to come from the socket. They
+    // must still be parsed as the first replies drain — also when the
+    // client has already shut down its write half.
+    let n = 600;
+    for half_close in [false, true] {
+        let replies =
+            burst_replies(h.addr, &"ping\n".repeat(n), half_close, n, Duration::from_secs(5));
+        assert_eq!(
+            replies.len(),
+            n,
+            "half_close={half_close}: only {} of {n} replies within 5 s",
+            replies.len()
+        );
+        assert!(replies.iter().all(|r| r == "pong"), "{replies:?}");
+    }
+}
+
+#[test]
+fn a_burst_parked_on_a_full_queue_is_fully_answered_after_the_park_clears() {
+    // A one-request service queue parks the burst's second request; the
+    // rest of the burst is already buffered when the park clears, so it
+    // must be parsed without waiting for new bytes.
+    let h = start_with(ServiceConfig {
+        mode: ServeMode::Int,
+        queue_capacity: 1,
+        ..ServiceConfig::default()
+    });
+    let (line, want) = classify_line();
+    let n = 64;
+    let replies =
+        burst_replies(h.addr, &format!("{line}\n").repeat(n), false, n, Duration::from_secs(5));
+    assert_eq!(replies.len(), n, "only {} of {n} replies within 5 s", replies.len());
+    assert!(replies.iter().all(|r| r == &want), "{replies:?}");
 }

@@ -17,7 +17,7 @@
 //! | data | [`data`] | UCI-shaped synthetic datasets, CSV, splits, metrics |
 //! | learning | [`ml`] | linear SVMs (OvR/OvO), MLPs, integer-exact quantized models |
 //! | circuits | [`netlist`] | gate-level IR, folding builder, Verilog export |
-//! | static analysis | [`lint`] | structural lints, constant propagation, fault collapsing |
+//! | static analysis | [`lint`] | structural lints, constant propagation |
 //! | PDK | [`cells`] | EGFET cell library, tech params, printed batteries |
 //! | EDA flow | [`synth`] | datapath generators, STA, area, power |
 //! | simulation | [`sim`] | cycle-based gate-level simulator, activity |
@@ -74,7 +74,7 @@ pub mod prelude {
     pub use pe_core::report::{paper_table1, DesignReport, Table1};
     pub use pe_core::styles::DesignStyle;
     pub use pe_data::{train_test_split, Dataset, Normalizer, UciProfile};
-    pub use pe_lint::{collapse_fault_sites, lint_netlist, Lint, LintReport, Severity};
+    pub use pe_lint::{lint_netlist, Lint, LintReport, Severity};
     pub use pe_ml::linear::SvmTrainParams;
     pub use pe_ml::multiclass::{MulticlassScheme, SvmModel};
     pub use pe_ml::{QuantizedMlp, QuantizedSvm};
